@@ -243,6 +243,8 @@ class ActResult:
     # Mask applied to the intent distribution before sampling (all-true when
     # no masking happened); needed to reconstruct log-probabilities.
     mask: np.ndarray | None
+    # The policy's input features for the state; None without a policy.
+    features: np.ndarray | None
 
 
 def _policy_sample(
@@ -251,13 +253,14 @@ def _policy_sample(
     spec: GridSpec,
     rng: np.random.Generator,
     mask: np.ndarray | None = None,
-) -> AbstractAction:
+) -> tuple[AbstractAction, np.ndarray]:
+    """Sampled intent and the feature vector it was sampled from."""
     x = extract_features(state, spec)
     dist = action_distribution(policy_logits(params, x))
     if mask is not None:
         dist = dist * mask
         dist = dist / dist.sum()
-    return sample_abstract(dist, rng)
+    return sample_abstract(dist, rng), x
 
 
 def act(
@@ -288,6 +291,7 @@ def act(
             decision=shield_mod.project(state, proposed, spec, shield_cfg),
             abstract=None,
             mask=None,
+            features=None,
         )
 
     if variant is AgentVariant.HIERARCHY_CBF:
@@ -295,7 +299,7 @@ def act(
             ground_action(a, state, spec, env_cfg) for a in AbstractAction
         ]
         mask = shield_mod.cbf_mask(state, grounded, spec, shield_cfg)
-        abstract = _policy_sample(params, state, spec, rng, mask=mask)
+        abstract, x = _policy_sample(params, state, spec, rng, mask=mask)
         executed = grounded[int(abstract)]
         pred = shield_mod.predict(state, executed, spec)
         admissible = pred.feasible and pred.max_rho <= shield_cfg.rho_max
@@ -308,9 +312,9 @@ def act(
             l0_distance=0,
             last_resort=not admissible,
         )
-        return ActResult(decision=decision, abstract=abstract, mask=mask)
+        return ActResult(decision=decision, abstract=abstract, mask=mask, features=x)
 
-    abstract = _policy_sample(params, state, spec, rng)
+    abstract, x = _policy_sample(params, state, spec, rng)
     if variant is AgentVariant.FLAT:
         proposed = ground_action_direct(abstract, state, spec, env_cfg)
         decision = shield_mod.identity_decision(state, proposed, spec)
@@ -320,7 +324,7 @@ def act(
     else:  # HIERARCHY_SHIELD
         proposed = ground_action(abstract, state, spec, env_cfg)
         decision = shield_mod.project(state, proposed, spec, shield_cfg)
-    return ActResult(decision=decision, abstract=abstract, mask=None)
+    return ActResult(decision=decision, abstract=abstract, mask=None, features=x)
 
 
 def discounted_return(rewards, gamma: float) -> float:

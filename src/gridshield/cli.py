@@ -134,8 +134,6 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    if args.grid == harness.TRAIN_GRID:
-        args.grid = "large36"
     run_cfg = _run_config(args, stress=False)
     report = run_suite("transfer", run_cfg)
     _emit(report, Path(run_cfg.out_dir) / "transfer")

@@ -258,16 +258,6 @@ def compute_reward(
     return r
 
 
-def classify_termination(state: EnvState, config: EnvConfig) -> FailureMode:
-    if state.t >= config.horizon:
-        return FailureMode.TIME_LIMIT
-    if not state.last_solution.feasible:
-        return FailureMode.INFEASIBLE_TOPOLOGY
-    if state.overload_streak.max(initial=0) >= OVERLOAD_GRACE:
-        return FailureMode.THERMAL_COLLAPSE
-    return FailureMode.UNKNOWN
-
-
 def step(state: EnvState, action: Action, spec: GridSpec, config: EnvConfig) -> StepOutcome:
     """Advance one step.  Infeasible proposed actions degrade to NoOp."""
     c = compiled(spec)
@@ -303,18 +293,20 @@ def step(state: EnvState, action: Action, spec: GridSpec, config: EnvConfig) -> 
         rng=state.rng,
     )
 
-    terminated = (
-        next_state.t >= config.horizon
-        or not solution.feasible
-        or bool((streak >= OVERLOAD_GRACE).any())
-    )
-    failure = classify_termination(next_state, config) if terminated else None
+    if next_state.t >= config.horizon:
+        failure = FailureMode.TIME_LIMIT
+    elif not solution.feasible:
+        failure = FailureMode.INFEASIBLE_TOPOLOGY
+    elif (streak >= OVERLOAD_GRACE).any():
+        failure = FailureMode.THERMAL_COLLAPSE
+    else:
+        failure = None
     collapse = failure in (FailureMode.THERMAL_COLLAPSE, FailureMode.INFEASIBLE_TOPOLOGY)
     reward = compute_reward(solution.rho, collapse, config)
     return StepOutcome(
         next_state=next_state,
         reward=reward,
-        terminated=terminated,
+        terminated=failure is not None,
         failure=failure,
         rho=solution.rho,
     )

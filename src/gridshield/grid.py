@@ -199,27 +199,23 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-# Topologies recur heavily across steps and lookahead queries; labels are a
-# pure function of (spec, status), so memoize them.
-_LABELS_CACHE: dict[tuple, np.ndarray] = {}
-_LABELS_CACHE_MAX = 65536
+# Topologies recur heavily across steps and lookahead queries, so the
+# labels, the factorization below and the shield's zero-disturbance
+# predictions are memoized on (spec, line status as bytes).  Each memo keeps
+# at most this many least-recently-used entries and hands out read-only
+# arrays, so no caller can corrupt a later hit.
+TOPOLOGY_MEMO = 16384
 
 
-def _component_labels(spec: GridSpec, line_status: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=TOPOLOGY_MEMO)
+def _component_labels(spec: GridSpec, status: bytes) -> np.ndarray:
     """Per-bus component label (root bus index) over in-service lines."""
-    key = (hash(spec), line_status.tobytes())
-    hit = _LABELS_CACHE.get(key)
-    if hit is not None:
-        return hit
     c = compiled(spec)
     uf = _UnionFind(spec.n_buses)
-    for ell in np.flatnonzero(line_status):
+    for ell in np.flatnonzero(np.frombuffer(status, dtype=bool)):
         uf.union(int(c.from_idx[ell]), int(c.to_idx[ell]))
     labels = np.array([uf.find(i) for i in range(spec.n_buses)], dtype=np.intp)
     labels.setflags(write=False)
-    if len(_LABELS_CACHE) >= _LABELS_CACHE_MAX:
-        _LABELS_CACHE.clear()
-    _LABELS_CACHE[key] = labels
     return labels
 
 
@@ -229,7 +225,7 @@ def connected_components(spec: GridSpec, line_status: np.ndarray) -> list[list[i
     Components are ordered by their smallest contained bus id; bus ids inside
     each component are sorted ascending.
     """
-    labels = _component_labels(spec, np.asarray(line_status, dtype=bool))
+    labels = _component_labels(spec, np.asarray(line_status, dtype=bool).tobytes())
     groups: dict[int, list[int]] = {}
     for i, lab in enumerate(labels):
         groups.setdefault(int(lab), []).append(spec.buses[i])
@@ -237,22 +233,17 @@ def connected_components(spec: GridSpec, line_status: np.ndarray) -> list[list[i
     return sorted(comps, key=lambda g: g[0])
 
 
-# The reduced Laplacian depends only on (spec, topology); episodes solve the
-# same topology step after step with fresh injections, so the factorization
-# is memoized.
-_FACTOR_CACHE: dict[tuple, tuple] = {}
-_FACTOR_CACHE_MAX = 16384
-
-
-def _reduced_factorization(
-    spec: GridSpec, status: np.ndarray, active: np.ndarray, red: np.ndarray
-):
-    key = (hash(spec), status.tobytes())
-    hit = _FACTOR_CACHE.get(key)
-    if hit is not None:
-        return hit
+@lru_cache(maxsize=TOPOLOGY_MEMO)
+def _reduced_factorization(spec: GridSpec, status: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """LU factors of the slack island's susceptance Laplacian with the slack
+    row and column removed; episodes solve the same topology step after step
+    with fresh injections."""
     c = compiled(spec)
     n = spec.n_buses
+    labels = _component_labels(spec, status)
+    in_island = labels == labels[c.slack_idx]
+    active = np.frombuffer(status, dtype=bool) & in_island[c.from_idx]
+    red = np.flatnonzero(in_island & (np.arange(n) != c.slack_idx))
     b_full = np.zeros((n, n))
     fi, ti = c.from_idx[active], c.to_idx[active]
     bs = c.susceptance[active]
@@ -264,10 +255,9 @@ def _reduced_factorization(
     lu, piv = lu_factor(b_red, check_finite=False)
     if np.abs(np.diag(lu)).min() < SINGULAR_PIVOT_TOL:
         raise SingularSystemError("reduced susceptance matrix is singular")
-    if len(_FACTOR_CACHE) >= _FACTOR_CACHE_MAX:
-        _FACTOR_CACHE.clear()
-    _FACTOR_CACHE[key] = (lu, piv)
-    return (lu, piv)
+    lu.setflags(write=False)
+    piv.setflags(write=False)
+    return lu, piv
 
 
 def solve_dc_power_flow(
@@ -284,9 +274,10 @@ def solve_dc_power_flow(
     c = compiled(spec)
     injections = np.asarray(injections, dtype=float)
     status = np.asarray(line_status, dtype=bool)
+    key = status.tobytes()
     n = spec.n_buses
 
-    labels = _component_labels(spec, status)
+    labels = _component_labels(spec, key)
     in_island = labels == labels[c.slack_idx]
     feasible = bool(np.all(in_island[c.gen_bus_idx]) and np.all(in_island[c.load_bus_idx]))
 
@@ -299,7 +290,7 @@ def solve_dc_power_flow(
     red = np.flatnonzero(in_island & (np.arange(n) != c.slack_idx))
     angles = np.zeros(n)
     if red.size:
-        lu_piv = _reduced_factorization(spec, status, active, red)
+        lu_piv = _reduced_factorization(spec, key)
         angles[red] = lu_solve(lu_piv, balanced[red], check_finite=False)
 
     flows = np.where(
@@ -309,11 +300,6 @@ def solve_dc_power_flow(
     return PowerFlowSolution(
         angles=angles, flows=flows, rho=rho, feasible=feasible, injections=balanced
     )
-
-
-def loading_ratios(solution: PowerFlowSolution) -> np.ndarray:
-    """Per-line loading ratio |flow| / thermal_limit of a solved state."""
-    return solution.rho
 
 
 def max_loading(rho: np.ndarray) -> float:

@@ -485,11 +485,8 @@ def run_suite(kind: str, run_cfg: RunConfig) -> AggregateReport:
         raise ValueError(f"unknown suite {kind!r}; expected one of {SUITE_KINDS}")
 
     eval_grid_name = run_cfg.grid
-    if kind == "transfer":
-        if eval_grid_name == TRAIN_GRID:
-            eval_grid_name = "large36"
-        if eval_grid_name == TRAIN_GRID:
-            raise ValueError("transfer suite requires an evaluation grid != training grid")
+    if kind == "transfer" and eval_grid_name == TRAIN_GRID:
+        eval_grid_name = "large36"
     eval_spec = resolve_grid(eval_grid_name)
 
     episodes = run_cfg.episodes if run_cfg.episodes is not None else SUITE_EPISODES[kind]

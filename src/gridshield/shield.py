@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from . import environment as env
 from .environment import Action, ActionKind, EnvConfig, EnvState, NOOP
-from .grid import GridSpec, compiled
+from .grid import TOPOLOGY_MEMO, GridSpec, compiled
 
 
 class ShieldMode(Enum):
@@ -31,16 +32,10 @@ class ShieldMode(Enum):
 class ShieldConfig:
     mode: ShieldMode = ShieldMode.PROJECTION
     rho_max: float = 0.98
-    # None -> NoOp plus every single-line disconnection (resolved per spec).
-    candidate_set: tuple[Action, ...] | None = None
-
-    def candidates(self, spec: GridSpec) -> tuple[Action, ...]:
-        if self.candidate_set is not None:
-            return self.candidate_set
-        return default_candidates(spec)
 
 
 def default_candidates(spec: GridSpec) -> tuple[Action, ...]:
+    """Projection's candidates: NoOp plus every single-line disconnection."""
     return (NOOP,) + tuple(env.disconnect(l.id) for l in spec.lines)
 
 
@@ -73,24 +68,17 @@ class ShieldDecision:
 
 
 # Zero-disturbance predictions depend only on (spec, topology, dispatch);
-# identical queries recur every step while the topology sits still, so the
-# solutions are memoized.  Guarded by the GIL; entries are immutable.
-_PREDICTION_CACHE: dict[tuple, Prediction] = {}
-_PREDICTION_CACHE_MAX = 65536
-
-
-def _predict_solution(spec: GridSpec, setpoints: np.ndarray, status: np.ndarray) -> Prediction:
-    key = (hash(spec), status.tobytes(), setpoints.tobytes())
-    hit = _PREDICTION_CACHE.get(key)
-    if hit is not None:
-        return hit
-    c = compiled(spec)
-    solution = env.solve_state(spec, setpoints, c.base_demand, status)
-    pred = Prediction(rho=solution.rho, feasible=solution.feasible)
-    if len(_PREDICTION_CACHE) >= _PREDICTION_CACHE_MAX:
-        _PREDICTION_CACHE.clear()
-    _PREDICTION_CACHE[key] = pred
-    return pred
+# identical queries recur every step while the topology sits still.
+@lru_cache(maxsize=TOPOLOGY_MEMO)
+def _predict_solution(spec: GridSpec, status: bytes, setpoints: bytes) -> Prediction:
+    solution = env.solve_state(
+        spec,
+        np.frombuffer(setpoints, dtype=float),
+        compiled(spec).base_demand,
+        np.frombuffer(status, dtype=bool),
+    )
+    solution.rho.setflags(write=False)
+    return Prediction(rho=solution.rho, feasible=solution.feasible)
 
 
 def predict(state: EnvState, action: Action, spec: GridSpec) -> Prediction:
@@ -104,7 +92,7 @@ def predict(state: EnvState, action: Action, spec: GridSpec) -> Prediction:
     setpoints = state.gen_setpoints.copy()
     # Cooldown bookkeeping does not affect flows; reuse a neutral config.
     env.apply_action(status, cooldowns, setpoints, action, EnvConfig())
-    return _predict_solution(spec, setpoints, status)
+    return _predict_solution(spec, status.tobytes(), setpoints.tobytes())
 
 
 def is_admissible(
@@ -173,7 +161,7 @@ def project(
             last_resort=not (exec_pred.feasible and exec_pred.max_rho <= cfg.rho_max),
         )
 
-    candidates = cfg.candidates(spec)
+    candidates = default_candidates(spec)
     scored: list[tuple[int, float, int, Action, Prediction]] = []
     for idx, cand in enumerate(candidates):
         pred = predict(state, cand, spec)

@@ -32,7 +32,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    baseline: str = "mean_return"
 
 
 @dataclass
@@ -90,15 +89,6 @@ def returns_to_go(rewards: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
-def _masked_log_softmax(logits: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Row-wise softmax restricted to open entries (closed entries get
-    probability 0).  Returns probabilities, not logs."""
-    z = np.where(masks, logits, -np.inf)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def policy_objective_and_grads(
     params: PolicyParams, trajectories: list[Trajectory], cfg: TrainConfig
 ) -> tuple[float, list[np.ndarray], UpdateDiagnostics]:
@@ -132,7 +122,7 @@ def policy_objective_and_grads(
     z2 = h1 @ params.w2 + params.b2
     h2 = np.maximum(z2, 0.0)
     logits = h2 @ params.w3 + params.b3
-    probs = _masked_log_softmax(logits, masks)
+    probs = agent_mod.action_distribution(np.where(masks, logits, -np.inf))
 
     rows = np.arange(acts.size)
     log_p = np.log(probs[rows, acts])
@@ -183,10 +173,9 @@ def rollout(
     state = env.reset(spec, env_cfg, seed)
     feats, acts, rews, masks = [], [], [], []
     while True:
-        x = agent_mod.extract_features(state, spec)
         res = agent_mod.act(variant, params, state, spec, shield_cfg, state.rng, env_cfg)
         outcome = env.step(state, res.decision.executed, spec, env_cfg)
-        feats.append(x)
+        feats.append(res.features)
         acts.append(int(res.abstract))
         rews.append(outcome.reward)
         masks.append(
@@ -232,8 +221,6 @@ def train(
     time (the shield is active during training iff the variant carries it)."""
     if variant is AgentVariant.SHIELD_ONLY:
         raise ValueError("shield_only uses a random proposer; nothing to train")
-    if train_cfg.baseline != "mean_return":
-        raise ValueError(f"unknown baseline {train_cfg.baseline!r}")
 
     params = init_policy_params(seed)
     optimizer = AdamOptimizer(train_cfg)

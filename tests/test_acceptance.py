@@ -180,7 +180,7 @@ def test_criterion_2_shield_soundness(stress_decisions):
 def test_criterion_3_projection_minimality(stress_decisions):
     spec = builtin_grid("train14")
     shield_cfg = shield_config_for(AgentVariant.HIERARCHY_SHIELD, RHO_MAX)
-    candidates = shield_cfg.candidates(spec)
+    candidates = shield.default_candidates(spec)
     vetoes_checked = 0
     mismatches = 0
     for episode in stress_decisions:

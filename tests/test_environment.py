@@ -9,7 +9,6 @@ from gridshield.environment import (
     FailureMode,
     NOOP,
     OVERLOAD_GRACE,
-    classify_termination,
     compute_reward,
     disconnect,
     enumerate_actions,
@@ -288,19 +287,23 @@ class TestReward:
 
 class TestClassifyTermination:
     def test_time_limit_takes_precedence(self, toy5):
-        cfg = EnvConfig(horizon=200)
+        # the last step both reaches the horizon and islands load
+        cfg = EnvConfig(horizon=200, load_noise_sigma=0.0)
         state = reset(toy5, cfg, seed=0)
-        state.t = 200
-        assert classify_termination(state, cfg) is FailureMode.TIME_LIMIT
+        state.t = 199
+        out = step(state, disconnect(5), toy5, cfg)
+        assert not out.next_state.last_solution.feasible
+        assert out.terminated and out.failure is FailureMode.TIME_LIMIT
 
     def test_islanded_load_classified(self, toy5):
         cfg = EnvConfig(load_noise_sigma=0.0)
         state = reset(toy5, cfg, seed=0)
         out = step(state, disconnect(5), toy5, cfg)
-        assert classify_termination(out.next_state, cfg) is FailureMode.INFEASIBLE_TOPOLOGY
+        assert out.terminated and out.failure is FailureMode.INFEASIBLE_TOPOLOGY
 
-    def test_unknown_when_running(self, toy5):
+    def test_none_while_running(self, toy5):
         cfg = EnvConfig()
         state = reset(toy5, cfg, seed=0)
         state.t = 3
-        assert classify_termination(state, cfg) is FailureMode.UNKNOWN
+        out = step(state, NOOP, toy5, cfg)
+        assert not out.terminated and out.failure is None

@@ -1,15 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gridshield import grid
+from gridshield import environment as env
+from gridshield import grid, shield
+from gridshield.environment import EnvConfig, NOOP
 from gridshield.grid import (
     GenSpec,
     GridSpec,
     LineSpec,
     LoadSpec,
     connected_components,
-    loading_ratios,
     max_loading,
     safety_margin,
     solve_dc_power_flow,
@@ -172,7 +175,7 @@ class TestSolvePowerFlow:
 class TestLoadingMetrics:
     def test_loading_ratio_definition(self, two_bus):
         sol = solve_dc_power_flow(two_bus, np.array([0.5, -0.5]), np.array([True]))
-        assert loading_ratios(sol)[0] == pytest.approx(0.5, abs=1e-12)
+        assert sol.rho[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_disconnected_line_rho_zero(self, triangle):
         status = np.array([True, False, True])
@@ -242,6 +245,83 @@ class TestConnectedComponents:
         assert [c[0] for c in comps] == sorted(c[0] for c in comps)
         assert len(comps) == _brute_force_component_count(spec, status)
         assert sorted(b for c in comps for b in c) == list(spec.buses)
+
+
+
+def _clear_memos():
+    grid._component_labels.cache_clear()
+    grid._reduced_factorization.cache_clear()
+    shield._predict_solution.cache_clear()
+
+
+def _hash_twin(spec, line, scale):
+    """Copy of spec with one susceptance scaled, forced onto the original's
+    hash: a memo keyed on the hash alone would hand one the other's flows."""
+    lines = list(spec.lines)
+    lines[line] = dataclasses.replace(lines[line], susceptance=lines[line].susceptance * scale)
+    twin = dataclasses.replace(spec, lines=tuple(lines))
+    object.__setattr__(twin, "_hash", hash(spec))
+    return twin
+
+
+class TestTopologyMemo:
+    def test_memoized_arrays_are_read_only(self, train14):
+        state = env.reset(train14, EnvConfig(), seed=0)
+        pred = shield.predict(state, NOOP, train14)
+        before = pred.rho.copy()
+        key = state.line_status.tobytes()
+        lu, piv = grid._reduced_factorization(train14, key)
+        labels = grid._component_labels(train14, key)
+        for arr in (pred.rho, lu, piv, labels):
+            with pytest.raises(ValueError):
+                arr[0] = 5
+        again = shield.predict(state, NOOP, train14)
+        np.testing.assert_array_equal(again.rho, before)
+        assert again.max_rho == pytest.approx(0.6)
+
+    def test_hash_twin_solves_to_its_own_flows(self, train14):
+        twin = _hash_twin(train14, 0, 2.0)
+        assert hash(twin) == hash(train14) and twin != train14
+        state = env.reset(train14, EnvConfig(), seed=0)
+        inj = state.last_solution.injections
+        status = state.line_status
+        _clear_memos()
+        cold = solve_dc_power_flow(twin, inj, status)
+        cold_pred = shield.predict(state, NOOP, twin)
+        _clear_memos()
+        solve_dc_power_flow(train14, inj, status)
+        shield.predict(state, NOOP, train14)
+        np.testing.assert_array_equal(solve_dc_power_flow(twin, inj, status).flows, cold.flows)
+        np.testing.assert_array_equal(shield.predict(state, NOOP, twin).rho, cold_pred.rho)
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_warm_solves_equal_cold_solves(self, seed):
+        # random outages strand buses and cut bridges; each spec shares its
+        # hash with a twin of different susceptance
+        rng = np.random.default_rng(seed)
+        spec = random_connected_spec(rng, int(rng.integers(2, 31)))
+        twin = _hash_twin(spec, int(rng.integers(spec.n_lines)), 2.0)
+        inj = rng.normal(0, 1, spec.n_buses)
+        setpoints = env.base_dispatch(spec).tobytes()
+        queries = [
+            (s, rng.random(spec.n_lines) < p) for p in (1.0, 0.8, 0.5) for s in (spec, twin)
+        ]
+        cold = []
+        for s, status in queries:
+            _clear_memos()
+            cold.append(
+                (solve_dc_power_flow(s, inj, status),
+                 shield._predict_solution(s, status.tobytes(), setpoints))
+            )
+        for _ in range(2):  # the first pass mixes misses and hits, the second only hits
+            for (s, status), (sol, pred) in zip(queries, cold):
+                warm = solve_dc_power_flow(s, inj, status)
+                np.testing.assert_array_equal(warm.angles, sol.angles)
+                np.testing.assert_array_equal(warm.flows, sol.flows)
+                assert warm.feasible == sol.feasible
+                warm_pred = shield._predict_solution(s, status.tobytes(), setpoints)
+                np.testing.assert_array_equal(warm_pred.rho, pred.rho)
+                assert warm_pred.feasible == pred.feasible
 
 
 def _brute_force_component_count(spec, status) -> int:

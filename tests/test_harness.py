@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,3 +368,28 @@ class TestCli:
             # ten surviving steps at gamma 0.99 carry sum(0.99^t) of bonus
             assert ret - margin == pytest.approx(sum(0.99**t for t in range(10)))
         assert "margin return" in capsys.readouterr().out
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+class TestGoldenRecords:
+    """Per-episode records of small stress and transfer runs, committed as
+    the CLI wrote them; any change to a solve, a prediction, a decision or
+    the training path that feeds them shows up as a byte difference."""
+
+    @pytest.mark.parametrize(
+        "suite, grid, golden",
+        [
+            ("stress", "train14", "golden_stress_train14.jsonl"),
+            ("transfer", "large36", "golden_transfer_large36.jsonl"),
+        ],
+    )
+    def test_records_match_golden(self, tmp_path, suite, grid, golden):
+        from gridshield.cli import main
+
+        argv = [suite, "--grid", grid, "--updates", "2", "--episodes-per-update", "2",
+                "--episodes", "3", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        written = (tmp_path / suite / "episodes.jsonl").read_bytes()
+        assert written == (GOLDEN / golden).read_bytes()

@@ -202,7 +202,7 @@ class TestProject:
         proposed = NOOP
         decision = project(state, proposed, train14, shield_cfg)
         assert decision.vetoed and decision.corrected
-        candidates = shield_cfg.candidates(train14)
+        candidates = default_candidates(train14)
         scored = []
         for idx, cand in enumerate(candidates):
             p = predict(state, cand, train14)

@@ -6,6 +6,7 @@ from gridshield.agent import (
     AgentVariant,
     PolicyParams,
     action_distribution,
+    extract_features,
     init_policy_params,
     policy_logits,
 )
@@ -300,3 +301,5 @@ class TestTrain:
         )
         assert traj.features.shape[0] == traj.actions.shape[0] == traj.rewards.shape[0]
         assert traj.features.shape[0] <= 15
+        first = env.reset(toy5, EnvConfig(horizon=15), 3)
+        np.testing.assert_array_equal(traj.features[0], extract_features(first, toy5))
