@@ -148,24 +148,16 @@ def sample_abstract(dist: np.ndarray, rng: np.random.Generator) -> AbstractActio
     return AbstractAction(min(idx, dist.size - 1))
 
 
-def ranked_lines(state: EnvState) -> list[int]:
+def ranked_lines(state: EnvState) -> np.ndarray:
     """In-service lines ordered by loading, heaviest first (ties by id)."""
-    rho = state.last_solution.rho
     in_service = np.flatnonzero(state.line_status)
-    return sorted((int(l) for l in in_service), key=lambda l: (-rho[l], l))
+    return in_service[np.lexsort((in_service, -state.last_solution.rho[in_service]))]
 
 
-def _neighborhood(spec: GridSpec, target: int, state: EnvState) -> list[int]:
-    """In-service lines sharing a bus with the target line, target included."""
-    c = compiled(spec)
-    buses = {int(c.from_idx[target]), int(c.to_idx[target])}
-    out = []
-    for ell in range(spec.n_lines):
-        if not state.line_status[ell]:
-            continue
-        if int(c.from_idx[ell]) in buses or int(c.to_idx[ell]) in buses:
-            out.append(ell)
-    return out
+def _neighborhood(spec: GridSpec, target: int, state: EnvState) -> np.ndarray:
+    """In-service lines sharing a bus with the target line, target included,
+    in id order."""
+    return np.flatnonzero(compiled(spec).line_adjacency[target] & state.line_status)
 
 
 def _longest_out_reconnect(state: EnvState) -> Action:
@@ -195,16 +187,8 @@ def ground_action(
     ranked = ranked_lines(state)
     if rank > len(ranked):
         return NOOP
-    target = ranked[rank - 1]
-    best: tuple[float, int] | None = None
-    for ell in _neighborhood(spec, target, state):
-        pred = shield_mod.predict(state, env.disconnect(ell), spec)
-        score = pred.max_rho
-        if best is None or (score, ell) < best:
-            best = (score, ell)
-    if best is None or not np.isfinite(best[0]):
-        return NOOP
-    return env.disconnect(best[1])
+    best = shield_mod.lowest_peak(state, spec, 1 + _neighborhood(spec, ranked[rank - 1], state))
+    return NOOP if best is None else shield_mod.default_candidates(spec)[best]
 
 
 @lru_cache(maxsize=64)

@@ -110,33 +110,27 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    run_cfg = _run_config(args, stress=False)
-    report = run_suite(args.suite, run_cfg)
-    _emit(report, Path(run_cfg.out_dir) / args.suite)
-    return 0
+# Evaluation subcommands: help, suite (eval's comes from --suite) and the
+# load conditions run, as (output subdirectory, stress mode).
+SUITE_COMMANDS = {
+    "eval": ("nominal (or cbf_compare) evaluation suite", None, (("", False),)),
+    "stress": ("forced line-outage stress suite", "stress", (("", True),)),
+    "ablate": (
+        "four-variant ablation, nominal and stress",
+        "ablation",
+        (("nominal", False), ("stress", True)),
+    ),
+    "transfer": ("train on train14, evaluate zero-shot elsewhere", "transfer", (("", False),)),
+}
 
 
-def cmd_stress(args) -> int:
-    run_cfg = _run_config(args, stress=True)
-    report = run_suite("stress", run_cfg)
-    _emit(report, Path(run_cfg.out_dir) / "stress")
-    return 0
-
-
-def cmd_ablate(args) -> int:
-    # Both load conditions: the plain grid and the forced-outage variant.
-    for condition, stress in (("nominal", False), ("stress", True)):
+def cmd_suite(args) -> int:
+    _, suite, conditions = SUITE_COMMANDS[args.command]
+    suite = suite or args.suite
+    for condition, stress in conditions:
         run_cfg = _run_config(args, stress=stress)
-        report = run_suite("ablation", run_cfg)
-        _emit(report, Path(run_cfg.out_dir) / "ablation" / condition)
-    return 0
-
-
-def cmd_transfer(args) -> int:
-    run_cfg = _run_config(args, stress=False)
-    report = run_suite("transfer", run_cfg)
-    _emit(report, Path(run_cfg.out_dir) / "transfer")
+        report = run_suite(suite, run_cfg)
+        _emit(report, Path(run_cfg.out_dir) / suite / condition)
     return 0
 
 
@@ -167,22 +161,12 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(p)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", help="nominal (or cbf_compare) evaluation suite")
-    _add_common(p)
-    p.add_argument("--suite", choices=("nominal", "cbf_compare"), default="nominal")
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("stress", help="forced line-outage stress suite")
-    _add_common(p)
-    p.set_defaults(fn=cmd_stress)
-
-    p = sub.add_parser("ablate", help="four-variant ablation, nominal and stress")
-    _add_common(p)
-    p.set_defaults(fn=cmd_ablate)
-
-    p = sub.add_parser("transfer", help="train on train14, evaluate zero-shot elsewhere")
-    _add_common(p)
-    p.set_defaults(fn=cmd_transfer)
+    for name, (help_text, suite, _) in SUITE_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        if suite is None:
+            p.add_argument("--suite", choices=("nominal", "cbf_compare"), default="nominal")
+        p.set_defaults(fn=cmd_suite)
 
     p = sub.add_parser("validate-grid", help="check a grid file or builtin name")
     p.add_argument("--grid", required=True)

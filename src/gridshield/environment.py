@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import grid
-from .grid import GridSpec, PowerFlowSolution, compiled, safety_margin
+from .grid import GridSpec, PowerFlowSolution, bus_injections, compiled, safety_margin
 
 # Consecutive steps a line may sit above rho = 1 before the grid collapses.
 OVERLOAD_GRACE = 3
@@ -95,7 +95,6 @@ class FailureMode(Enum):
     TIME_LIMIT = "time_limit"
     THERMAL_COLLAPSE = "thermal_collapse"
     INFEASIBLE_TOPOLOGY = "infeasible_topology"
-    UNKNOWN = "unknown"
 
 
 @dataclass
@@ -125,14 +124,6 @@ class StepOutcome:
     terminated: bool
     failure: FailureMode | None
     rho: np.ndarray
-
-
-def bus_injections(spec: GridSpec, setpoints: np.ndarray, demands: np.ndarray) -> np.ndarray:
-    c = compiled(spec)
-    inj = np.zeros(spec.n_buses)
-    np.add.at(inj, c.gen_bus_idx, setpoints)
-    np.add.at(inj, c.load_bus_idx, -demands)
-    return inj
 
 
 def solve_state(

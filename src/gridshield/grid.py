@@ -117,15 +117,28 @@ class _CompiledSpec:
     ramp: np.ndarray
     base_demand: np.ndarray
     slack_idx: int
+    # bus x line: +1 at the line's from bus, -1 at its to bus
+    incidence: np.ndarray
+    # line x line: the two lines share a bus (a line shares its own)
+    line_adjacency: np.ndarray
 
 
 @lru_cache(maxsize=64)
 def compiled(spec: GridSpec) -> _CompiledSpec:
     bus_index = {b: i for i, b in enumerate(spec.buses)}
+    from_idx = np.array([bus_index[l.from_bus] for l in spec.lines], dtype=np.intp)
+    to_idx = np.array([bus_index[l.to_bus] for l in spec.lines], dtype=np.intp)
+    incidence = np.zeros((spec.n_buses, spec.n_lines))
+    incidence[from_idx, np.arange(spec.n_lines)] = 1.0
+    incidence[to_idx, np.arange(spec.n_lines)] = -1.0
+    touches = incidence != 0
+    adjacency = (touches.T.astype(int) @ touches.astype(int)) > 0
+    for arr in (incidence, adjacency):
+        arr.setflags(write=False)
     return _CompiledSpec(
         bus_index=bus_index,
-        from_idx=np.array([bus_index[l.from_bus] for l in spec.lines], dtype=np.intp),
-        to_idx=np.array([bus_index[l.to_bus] for l in spec.lines], dtype=np.intp),
+        from_idx=from_idx,
+        to_idx=to_idx,
         susceptance=np.array([l.susceptance for l in spec.lines], dtype=float),
         limits=np.array([l.thermal_limit for l in spec.lines], dtype=float),
         gen_bus_idx=np.array([bus_index[g.bus] for g in spec.generators], dtype=np.intp),
@@ -135,6 +148,8 @@ def compiled(spec: GridSpec) -> _CompiledSpec:
         ramp=np.array([g.ramp_limit for g in spec.generators], dtype=float),
         base_demand=np.array([d.base_demand for d in spec.loads], dtype=float),
         slack_idx=bus_index[spec.slack_bus],
+        incidence=incidence,
+        line_adjacency=adjacency,
     )
 
 
@@ -152,22 +167,23 @@ def validate_spec(spec: GridSpec) -> list[str]:
             violations.append(f"line {line.id}: endpoint not a declared bus")
         if line.from_bus == line.to_bus:
             violations.append(f"line {line.id}: from_bus equals to_bus")
-        if not line.thermal_limit > 0:
-            violations.append(f"line {line.id}: thermal_limit must be > 0")
-        if not line.susceptance > 0:
-            violations.append(f"line {line.id}: susceptance must be > 0")
+        # chained comparisons with inf reject NaN and infinities too
+        if not 0 < line.thermal_limit < np.inf:
+            violations.append(f"line {line.id}: thermal_limit must be finite and > 0")
+        if not 0 < line.susceptance < np.inf:
+            violations.append(f"line {line.id}: susceptance must be finite and > 0")
     for gen in spec.generators:
         if gen.bus not in declared:
             violations.append(f"generator {gen.id}: bus not declared")
-        if not 0 <= gen.p_min <= gen.p_max:
-            violations.append(f"generator {gen.id}: requires 0 <= p_min <= p_max")
-        if not gen.ramp_limit > 0:
-            violations.append(f"generator {gen.id}: ramp_limit must be > 0")
+        if not 0 <= gen.p_min <= gen.p_max < np.inf:
+            violations.append(f"generator {gen.id}: requires finite 0 <= p_min <= p_max")
+        if not 0 < gen.ramp_limit < np.inf:
+            violations.append(f"generator {gen.id}: ramp_limit must be finite and > 0")
     for load in spec.loads:
         if load.bus not in declared:
             violations.append(f"load {load.id}: bus not declared")
-        if load.base_demand < 0:
-            violations.append(f"load {load.id}: base_demand must be >= 0")
+        if not 0 <= load.base_demand < np.inf:
+            violations.append(f"load {load.id}: base_demand must be finite and >= 0")
     if spec.slack_bus not in declared:
         violations.append("slack_bus is not a declared bus")
     elif not any(g.bus == spec.slack_bus for g in spec.generators):
@@ -260,6 +276,14 @@ def _reduced_factorization(spec: GridSpec, status: bytes) -> tuple[np.ndarray, n
     return lu, piv
 
 
+def bus_injections(spec: GridSpec, setpoints: np.ndarray, demands: np.ndarray) -> np.ndarray:
+    c = compiled(spec)
+    inj = np.zeros(spec.n_buses)
+    np.add.at(inj, c.gen_bus_idx, setpoints)
+    np.add.at(inj, c.load_bus_idx, -demands)
+    return inj
+
+
 def solve_dc_power_flow(
     spec: GridSpec, injections: np.ndarray, line_status: np.ndarray
 ) -> PowerFlowSolution:
@@ -300,6 +324,51 @@ def solve_dc_power_flow(
     return PowerFlowSolution(
         angles=angles, flows=flows, rho=rho, feasible=feasible, injections=balanced
     )
+
+
+# 1 - H_kk for an outage of line k is zero, up to rounding, exactly when the
+# line is a bridge of the slack island; a line this close to it is left to
+# the exact solve as well.
+BRIDGE_SCREEN = 1e-6
+
+
+@lru_cache(maxsize=TOPOLOGY_MEMO)
+def outage_peaks(spec: GridSpec, status: bytes, setpoints: bytes) -> np.ndarray:
+    """Zero-disturbance peak loading (base demands) of the state as it is,
+    at [0], and after disconnecting each line k alone, at [1 + k].
+
+    One solve gives the base flows f; one multi-right-hand-side solve on the
+    cached factorization gives H = diag(b) A^T B_red^-1 A over the slack
+    island's in-service lines, and losing line k moves the flows to
+    f + H[:, k] / (1 - H_kk) * f_k with line k itself at 0 (line outage
+    distribution factors; Guo et al., IEEE Trans. Power Syst. 24(3), 2009).
+    Lines out of service or off the slack island leave the peak as it is; an
+    infeasible state stays infeasible under every cut (inf).  Bridges, whose
+    cut splits the slack island, are NaN: only an exact solve answers them.
+    """
+    c = compiled(spec)
+    line_status = np.frombuffer(status, dtype=bool)
+    injections = bus_injections(spec, np.frombuffer(setpoints, dtype=float), c.base_demand)
+    base = solve_dc_power_flow(spec, injections, line_status)
+    peaks = np.full(spec.n_lines + 1, np.max(base.rho, initial=0.0) if base.feasible else np.inf)
+    labels = _component_labels(spec, status)
+    in_island = labels == labels[c.slack_idx]
+    lines = np.flatnonzero(line_status & in_island[c.from_idx])
+    if base.feasible and lines.size:
+        red = np.flatnonzero(in_island & (np.arange(spec.n_buses) != c.slack_idx))
+        incidence = c.incidence[np.ix_(red, lines)]
+        angles = lu_solve(_reduced_factorization(spec, status), incidence, check_finite=False)
+        h = c.susceptance[lines, None] * (incidence.T @ angles)
+        denom = 1.0 - np.diag(h)
+        bridge = denom < BRIDGE_SCREEN
+        f = base.flows[lines]
+        shift = f / np.where(bridge, 1.0, denom)
+        after = f[:, None] + h * shift[None, :]
+        np.fill_diagonal(after, 0.0)
+        cut = (np.abs(after) / c.limits[lines, None]).max(axis=0)
+        peaks[1 + lines] = np.where(bridge, np.nan, cut)
+    peaks.setflags(write=False)
+    return peaks
 
 
 def max_loading(rho: np.ndarray) -> float:

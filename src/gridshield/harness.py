@@ -24,7 +24,7 @@ from . import environment as env
 from . import grid as grid_mod
 from . import training
 from .agent import AgentVariant, PolicyParams, VARIANT_SHIELD_MODE
-from .environment import EnvConfig, FailureMode
+from .environment import EnvConfig
 from .grid import GenSpec, GridSpec, LineSpec, LoadSpec
 from .grids import BUILTIN_NAMES, builtin_grid
 from .shield import ShieldConfig, ShieldMode
@@ -247,13 +247,13 @@ def load_policy(path: str | Path) -> PolicyParams:
         )
     arrays = []
     offset = 0
-    for s in shapes:
+    names = [f.name for f in dataclasses.fields(PolicyParams)]
+    for name, s in zip(names, shapes):
         count = int(np.prod(s))
-        arrays.append(
-            np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-            .reshape(s)
-            .copy()
-        )
+        array = np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(s).copy()
+        if not np.isfinite(array).all():
+            raise PolicyCorruptError(f"{path}: {name} holds non-finite values")
+        arrays.append(array)
         offset += count * 8
     return PolicyParams(*arrays)
 
@@ -326,7 +326,6 @@ def run_episode(
     vetoes = 0
     last_resort = 0
     trace: list[StepTrace] | None = [] if retain_trace else None
-    failure = FailureMode.UNKNOWN
     while True:
         res = agent_mod.act(variant, params, state, spec, shield_cfg, state.rng, env_cfg)
         outcome = env.step(state, res.decision.executed, spec, env_cfg)

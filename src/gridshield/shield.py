@@ -6,6 +6,12 @@ admissible when the predicted topology stays feasible and the predicted peak
 loading stays at or below rho_max.  Inadmissible proposals are either vetoed
 to NoOp or projected onto the nearest admissible corrective action, nearest
 in the number of control changes.
+
+NoOp and single-line disconnections are screened all at once by the line
+outage distribution factor kernel (`grid.outage_peaks`).  The exact solve
+behind `predict` stays the only source of recorded peaks and decides every
+comparison the kernel leaves within SCREEN_TOL, every bridge line and every
+other kind of action.
 """
 
 from __future__ import annotations
@@ -18,7 +24,16 @@ import numpy as np
 
 from . import environment as env
 from .environment import Action, ActionKind, EnvConfig, EnvState, NOOP
-from .grid import TOPOLOGY_MEMO, GridSpec, compiled
+from .grid import TOPOLOGY_MEMO, GridSpec, compiled, outage_peaks
+
+# Kernel peaks this close to rho_max or to the best candidate's peak are
+# re-decided by predict.  The kernel agrees with the exact solve to ~1e-14
+# on the builtin grids; a wider band costs only speed, never correctness.
+SCREEN_TOL = 1e-6
+
+# Cooldown bookkeeping does not affect flows, so predict applies actions
+# under one neutral config.
+_NEUTRAL_CONFIG = EnvConfig()
 
 
 class ShieldMode(Enum):
@@ -36,7 +51,7 @@ class ShieldConfig:
 
 def default_candidates(spec: GridSpec) -> tuple[Action, ...]:
     """Projection's candidates: NoOp plus every single-line disconnection."""
-    return (NOOP,) + tuple(env.disconnect(l.id) for l in spec.lines)
+    return env.enumerate_actions(spec, _NEUTRAL_CONFIG)[: spec.n_lines + 1]
 
 
 @dataclass(frozen=True)
@@ -90,41 +105,82 @@ def predict(state: EnvState, action: Action, spec: GridSpec) -> Prediction:
     status = state.line_status.copy()
     cooldowns = state.cooldowns.copy()
     setpoints = state.gen_setpoints.copy()
-    # Cooldown bookkeeping does not affect flows; reuse a neutral config.
-    env.apply_action(status, cooldowns, setpoints, action, EnvConfig())
+    env.apply_action(status, cooldowns, setpoints, action, _NEUTRAL_CONFIG)
     return _predict_solution(spec, status.tobytes(), setpoints.tobytes())
+
+
+def lookahead(state: EnvState, spec: GridSpec) -> np.ndarray:
+    """Kernel estimate of the zero-disturbance peak of NoOp, at [0], and of
+    disconnecting line k, at [1 + k] (the order of default_candidates); NaN
+    for bridges, inf when nothing keeps the grid feasible."""
+    return outage_peaks(spec, state.line_status.tobytes(), state.gen_setpoints.tobytes())
+
+
+def _admissible(
+    state: EnvState,
+    candidates: list[Action] | tuple[Action, ...],
+    spec: GridSpec,
+    rho_max: float,
+) -> np.ndarray:
+    """Admissibility mask from the kernel's estimates; predict decides
+    reconnections, redispatch and every estimate that is NaN or within
+    SCREEN_TOL of rho_max."""
+    peaks = lookahead(state, spec)
+    est = np.array([
+        peaks[0] if a.kind is ActionKind.NOOP
+        else peaks[1 + a.line] if a.kind is ActionKind.DISCONNECT
+        else np.nan
+        for a in candidates
+    ])
+    ok = est <= rho_max - SCREEN_TOL
+    # NaN fails both comparisons, so it lands among the unsure
+    for i in np.flatnonzero(~ok & ~(est > rho_max + SCREEN_TOL)):
+        pred = predict(state, candidates[i], spec)
+        ok[i] = pred.feasible and pred.max_rho <= rho_max
+    return ok
+
+
+def lowest_peak(state: EnvState, spec: GridSpec, positions: np.ndarray) -> int | None:
+    """Of the default candidates at `positions` (ascending), the position of
+    the one with the lowest predicted peak, ties to the lowest position, or
+    None when every one is infeasible.  Bridges, and candidates whose kernel
+    peak lies within SCREEN_TOL of the lowest, are decided by predict."""
+    est = lookahead(state, spec)[positions]
+    for j in np.flatnonzero(np.isnan(est)):
+        est[j] = predict(state, default_candidates(spec)[positions[j]], spec).max_rho
+    best = est.min()
+    if best == np.inf:
+        return None
+    near = positions[est <= best + SCREEN_TOL]
+    if near.size == 1:
+        return int(near[0])
+    candidates = default_candidates(spec)
+    return int(min(near, key=lambda i: (predict(state, candidates[i], spec).max_rho, i)))
 
 
 def is_admissible(
     state: EnvState, action: Action, spec: GridSpec, cfg: ShieldConfig
 ) -> bool:
-    pred = predict(state, action, spec)
-    return pred.feasible and pred.max_rho <= cfg.rho_max
+    return bool(_admissible(state, [action], spec, cfg.rho_max)[0])
 
 
 def admissible_set(
     state: EnvState, candidates: list[Action] | tuple[Action, ...], spec: GridSpec, cfg: ShieldConfig
 ) -> list[Action]:
     """Order-preserving sublist of candidates passing is_admissible."""
-    return [a for a in candidates if is_admissible(state, a, spec, cfg)]
+    ok = _admissible(state, candidates, spec, cfg.rho_max)
+    return [a for a, m in zip(candidates, ok) if m]
 
 
-def encode_action(action: Action, spec: GridSpec) -> np.ndarray:
-    """Control-change vector: one slot per line status delta, one per
-    generator setpoint delta."""
-    vec = np.zeros(spec.n_lines + spec.n_gens)
-    if action.kind is ActionKind.DISCONNECT:
-        vec[action.line] = -1.0
-    elif action.kind is ActionKind.RECONNECT:
-        vec[action.line] = 1.0
-    elif action.kind is ActionKind.REDISPATCH:
-        vec[spec.n_lines + action.gen] = action.delta
-    return vec
-
-
-def l0_distance(a: Action, b: Action, spec: GridSpec) -> int:
-    """Number of control components in which two actions differ."""
-    return int(np.count_nonzero(encode_action(a, spec) != encode_action(b, spec)))
+def l0_distance(a: Action, b: Action) -> int:
+    """Number of control components (line statuses, generator setpoints) in
+    which two actions differ: 0 for equal actions, 1 when exactly one is
+    NoOp or both act on the same line or generator, else 2."""
+    if a == b:
+        return 0
+    if a.kind is ActionKind.NOOP or b.kind is ActionKind.NOOP:
+        return 1
+    return 1 if (a.line, a.gen) == (b.line, b.gen) else 2
 
 
 def project(
@@ -149,45 +205,35 @@ def project(
             l0_distance=0,
         )
 
-    if cfg.mode is ShieldMode.VETO:
-        exec_pred = predict(state, NOOP, spec)
-        return ShieldDecision(
-            executed=NOOP,
-            proposed=proposed,
-            vetoed=True,
-            corrected=False,
-            predicted_rho_max=exec_pred.max_rho,
-            l0_distance=l0_distance(NOOP, proposed, spec),
-            last_resort=not (exec_pred.feasible and exec_pred.max_rho <= cfg.rho_max),
-        )
+    if cfg.mode is ShieldMode.PROJECTION:
+        candidates = default_candidates(spec)
+        ok = _admissible(state, candidates, spec, cfg.rho_max)
+        if ok.any():
+            # L0 from each candidate (NoOp, then disconnect k at 1 + k) to the
+            # proposal: 2 except NoOp itself and the proposal's own line
+            l0 = np.full(len(candidates), 1 if proposed.kind is ActionKind.NOOP else 2)
+            l0[0] = l0_distance(NOOP, proposed)
+            if proposed.line is not None:
+                l0[1 + proposed.line] = l0_distance(candidates[1 + proposed.line], proposed)
+            chosen = candidates[lowest_peak(state, spec, np.flatnonzero(ok & (l0 == l0[ok].min())))]
+            return ShieldDecision(
+                executed=chosen,
+                proposed=proposed,
+                vetoed=True,
+                corrected=True,
+                predicted_rho_max=predict(state, chosen, spec).max_rho,
+                l0_distance=l0_distance(chosen, proposed),
+            )
 
-    candidates = default_candidates(spec)
-    scored: list[tuple[int, float, int, Action, Prediction]] = []
-    for idx, cand in enumerate(candidates):
-        pred = predict(state, cand, spec)
-        if pred.feasible and pred.max_rho <= cfg.rho_max:
-            scored.append((l0_distance(cand, proposed, spec), pred.max_rho, idx, cand, pred))
-
-    if not scored:
-        exec_pred = predict(state, NOOP, spec)
-        return ShieldDecision(
-            executed=NOOP,
-            proposed=proposed,
-            vetoed=True,
-            corrected=False,
-            predicted_rho_max=exec_pred.max_rho,
-            l0_distance=l0_distance(NOOP, proposed, spec),
-            last_resort=True,
-        )
-
-    _, _, _, chosen, chosen_pred = min(scored, key=lambda s: (s[0], s[1], s[2]))
+    exec_pred = predict(state, NOOP, spec)
     return ShieldDecision(
-        executed=chosen,
+        executed=NOOP,
         proposed=proposed,
         vetoed=True,
-        corrected=True,
-        predicted_rho_max=chosen_pred.max_rho,
-        l0_distance=l0_distance(chosen, proposed, spec),
+        corrected=False,
+        predicted_rho_max=exec_pred.max_rho,
+        l0_distance=l0_distance(NOOP, proposed),
+        last_resort=not (exec_pred.feasible and exec_pred.max_rho <= cfg.rho_max),
     )
 
 
@@ -197,9 +243,7 @@ def cbf_mask(
     """Admissibility mask for pre-filtering a policy's choice set before
     sampling; with everything inadmissible only NoOp entries stay open, so a
     NoOp candidate must be present."""
-    mask = np.array(
-        [is_admissible(state, a, spec, cfg) for a in candidates], dtype=bool
-    )
+    mask = _admissible(state, candidates, spec, cfg.rho_max)
     if not mask.any():
         mask = np.array([a == NOOP for a in candidates], dtype=bool)
         if not mask.any():

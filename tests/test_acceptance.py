@@ -193,7 +193,7 @@ def test_criterion_3_projection_minimality(stress_decisions):
                 pred = shield.predict(state, cand, spec)
                 if pred.feasible and pred.max_rho <= shield_cfg.rho_max:
                     scored.append(
-                        (shield.l0_distance(cand, decision.proposed, spec), pred.max_rho, idx, cand)
+                        (shield.l0_distance(cand, decision.proposed), pred.max_rho, idx, cand)
                     )
             best = min(scored)
             if best[3] != decision.executed or best[0] != decision.l0_distance:

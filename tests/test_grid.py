@@ -19,6 +19,8 @@ from gridshield.grid import (
     validate_spec,
 )
 
+from gridshield.grids import builtin_grid
+
 from conftest import random_connected_spec
 
 
@@ -251,6 +253,7 @@ class TestConnectedComponents:
 def _clear_memos():
     grid._component_labels.cache_clear()
     grid._reduced_factorization.cache_clear()
+    grid.outage_peaks.cache_clear()
     shield._predict_solution.cache_clear()
 
 
@@ -272,12 +275,14 @@ class TestTopologyMemo:
         key = state.line_status.tobytes()
         lu, piv = grid._reduced_factorization(train14, key)
         labels = grid._component_labels(train14, key)
-        for arr in (pred.rho, lu, piv, labels):
+        peaks = shield.lookahead(state, train14)
+        for arr in (pred.rho, lu, piv, labels, peaks):
             with pytest.raises(ValueError):
                 arr[0] = 5
         again = shield.predict(state, NOOP, train14)
         np.testing.assert_array_equal(again.rho, before)
         assert again.max_rho == pytest.approx(0.6)
+        assert shield.lookahead(state, train14)[0] == again.max_rho
 
     def test_hash_twin_solves_to_its_own_flows(self, train14):
         twin = _hash_twin(train14, 0, 2.0)
@@ -311,10 +316,11 @@ class TestTopologyMemo:
             _clear_memos()
             cold.append(
                 (solve_dc_power_flow(s, inj, status),
-                 shield._predict_solution(s, status.tobytes(), setpoints))
+                 shield._predict_solution(s, status.tobytes(), setpoints),
+                 grid.outage_peaks(s, status.tobytes(), setpoints))
             )
         for _ in range(2):  # the first pass mixes misses and hits, the second only hits
-            for (s, status), (sol, pred) in zip(queries, cold):
+            for (s, status), (sol, pred, peaks) in zip(queries, cold):
                 warm = solve_dc_power_flow(s, inj, status)
                 np.testing.assert_array_equal(warm.angles, sol.angles)
                 np.testing.assert_array_equal(warm.flows, sol.flows)
@@ -322,6 +328,74 @@ class TestTopologyMemo:
                 warm_pred = shield._predict_solution(s, status.tobytes(), setpoints)
                 np.testing.assert_array_equal(warm_pred.rho, pred.rho)
                 assert warm_pred.feasible == pred.feasible
+                np.testing.assert_array_equal(
+                    grid.outage_peaks(s, status.tobytes(), setpoints), peaks
+                )
+
+
+def _splits_slack_island(spec, status, line) -> bool:
+    """Union-find oracle: the line is in service on the slack island and
+    cutting it leaves its two ends in different components."""
+    c = grid.compiled(spec)
+    labels = grid._component_labels(spec, status.tobytes())
+    if not status[line] or labels[c.from_idx[line]] != labels[c.slack_idx]:
+        return False
+    cut = status.copy()
+    cut[line] = False
+    after = grid._component_labels(spec, cut.tobytes())
+    return bool(after[c.from_idx[line]] != after[c.to_idx[line]])
+
+
+def _check_kernel_against_predict(spec, state) -> None:
+    """Every entry of the kernel against predict on the same candidate."""
+    peaks = shield.lookahead(state, spec)
+    noop = shield.predict(state, NOOP, spec)
+    assert peaks[0] == noop.max_rho
+    for k in range(spec.n_lines):
+        exact = shield.predict(state, env.disconnect(k), spec).max_rho
+        if not noop.feasible:
+            assert peaks[1 + k] == exact == np.inf
+        elif _splits_slack_island(spec, state.line_status, k):
+            assert np.isnan(peaks[1 + k])
+        else:
+            assert np.isfinite(peaks[1 + k]) == np.isfinite(exact)
+            if np.isfinite(exact):
+                assert abs(peaks[1 + k] - exact) <= shield.SCREEN_TOL / 100
+
+
+class TestOutagePeaks:
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_kernel_matches_predict_on_random_specs(self, seed):
+        # random outages strand buses, split off islands and leave bridges
+        rng = np.random.default_rng(seed)
+        spec = random_connected_spec(rng, int(rng.integers(2, 31)))
+        state = env.reset(spec, EnvConfig(), seed=0)
+        for p in (1.0, 0.85, 0.6):
+            status = rng.random(spec.n_lines) < p
+            _check_kernel_against_predict(spec, dataclasses.replace(state, line_status=status))
+
+    @pytest.mark.parametrize("name", ["toy5", "train14", "large36"])
+    def test_kernel_matches_predict_on_builtin_grids(self, name):
+        spec = builtin_grid(name)
+        state = env.reset(spec, EnvConfig(), seed=0)
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            _check_kernel_against_predict(spec, state)
+            status = state.line_status.copy()
+            status[rng.choice(np.flatnonzero(status))] = False
+            state = dataclasses.replace(state, line_status=status)
+
+    def test_bridge_is_nan_and_stranding_is_inf(self, two_bus, triangle):
+        # the only line of two_bus is a bridge; triangle has none, but with
+        # line 2 out, lines 0 and 1 are
+        state = env.reset(two_bus, EnvConfig(), seed=0)
+        assert np.isnan(shield.lookahead(state, two_bus)[1])
+        state = env.reset(triangle, EnvConfig(), seed=0)
+        assert not np.isnan(shield.lookahead(state, triangle)).any()
+        cut = dataclasses.replace(state, line_status=np.array([True, True, False]))
+        assert np.isnan(shield.lookahead(cut, triangle)[1:3]).all()
+        stranded = dataclasses.replace(state, line_status=np.array([True, False, False]))
+        assert np.isinf(shield.lookahead(stranded, triangle)).all()
 
 
 def _brute_force_component_count(spec, status) -> int:

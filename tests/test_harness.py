@@ -90,6 +90,20 @@ class TestGridFiles:
         with pytest.raises(harness.GridFileError, match="thermal_limit"):
             load_grid_spec(p)
 
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [("loads", "base_demand", "NaN"), ("lines", "susceptance", "Infinity")],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, toy5, section, field, value):
+        # Python's JSON parser accepts NaN and Infinity literals
+        doc = harness.grid_spec_to_dict(toy5)
+        doc[section][0][field] = float(value.replace("Infinity", "inf"))
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        assert value in p.read_text()
+        with pytest.raises(harness.GridFileError, match=field):
+            load_grid_spec(p)
+
     def test_resolve_builtin_or_path(self, tmp_path, toy5):
         assert resolve_grid("toy5") == toy5
         p = tmp_path / "g.json"
@@ -113,6 +127,15 @@ class TestPolicyFiles:
         save_policy(params, p)
         p.write_bytes(p.read_bytes()[:-8])
         with pytest.raises(harness.PolicyCorruptError):
+            load_policy(p)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_payload_corrupt(self, tmp_path, value):
+        params = init_policy_params(0)
+        params.b2[3] = value
+        p = tmp_path / "pol.bin"
+        save_policy(params, p)
+        with pytest.raises(harness.PolicyCorruptError, match="b2"):
             load_policy(p)
 
     def test_bad_magic_version_error(self, tmp_path):

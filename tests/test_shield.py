@@ -1,12 +1,16 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gridshield import environment as env
 from gridshield import shield
+from gridshield.agent import AbstractAction, ground_action
 from gridshield.environment import EnvConfig, NOOP, disconnect, reconnect, redispatch, reset, step
 from gridshield.grid import GenSpec, GridSpec, LineSpec, LoadSpec
+from gridshield.grids import builtin_grid
 from gridshield.shield import (
     ShieldConfig,
     ShieldMode,
@@ -18,6 +22,8 @@ from gridshield.shield import (
     predict,
     project,
 )
+
+from conftest import random_connected_spec
 
 
 def parallel_spec(limits, demand=1.0):
@@ -115,43 +121,45 @@ class TestAdmissibility:
 
 
 class TestL0Distance:
-    def test_identity(self, toy5):
+    def test_identity(self):
         a = disconnect(2)
-        assert l0_distance(a, a, toy5) == 0
+        assert l0_distance(a, a) == 0
 
-    def test_noop_to_disconnect(self, toy5):
-        assert l0_distance(NOOP, disconnect(1), toy5) == 1
+    def test_noop_to_disconnect(self):
+        assert l0_distance(NOOP, disconnect(1)) == 1
 
-    def test_two_disconnects(self, toy5):
-        # brute-force comparison of encoding vectors
-        va = shield.encode_action(disconnect(0), toy5)
-        vb = shield.encode_action(disconnect(3), toy5)
-        assert int(np.count_nonzero(va != vb)) == 2
-        assert l0_distance(disconnect(0), disconnect(3), toy5) == 2
+    def test_two_disconnects(self):
+        # the two actions touch disjoint line slots, one each
+        assert l0_distance(disconnect(0), NOOP) == 1
+        assert l0_distance(NOOP, disconnect(3)) == 1
+        assert l0_distance(disconnect(0), disconnect(3)) == 2
 
-    def test_disconnect_vs_reconnect_same_line(self, toy5):
-        assert l0_distance(disconnect(1), reconnect(1), toy5) == 1
+    def test_disconnect_vs_reconnect_same_line(self):
+        assert l0_distance(disconnect(1), reconnect(1)) == 1
 
-    def test_redispatch_encoding(self, train14):
+    def test_redispatch_encoding(self):
         a = redispatch(0, 0.3)
         b = redispatch(1, 0.1)
-        assert l0_distance(a, NOOP, train14) == 1
-        assert l0_distance(a, b, train14) == 2
-        assert l0_distance(a, redispatch(0, -0.3), train14) == 1
+        assert l0_distance(a, NOOP) == 1
+        assert l0_distance(a, b) == 2
+        assert l0_distance(a, redispatch(0, -0.3)) == 1
+        assert l0_distance(a, disconnect(0)) == 2  # line 0 and generator 0 are distinct slots
 
     def test_metric_properties_exhaustive(self, toy5):
         cfg = EnvConfig(redispatch_enabled=False)
         actions = env.enumerate_actions(toy5, cfg)
         for a, b in itertools.product(actions, repeat=2):
-            d_ab = l0_distance(a, b, toy5)
-            assert d_ab >= 0
-            assert d_ab == l0_distance(b, a, toy5)
-            equal_encoding = np.array_equal(
-                shield.encode_action(a, toy5), shield.encode_action(b, toy5)
-            )
-            assert (d_ab == 0) == equal_encoding
+            d_ab = l0_distance(a, b)
+            assert d_ab == l0_distance(b, a)
+            # NoOp touches no line slot, every other action exactly one
+            if a == b:
+                assert d_ab == 0
+            elif NOOP in (a, b) or a.line == b.line:
+                assert d_ab == 1
+            else:
+                assert d_ab == 2
         for a, b, c in itertools.product(actions[:7], repeat=3):
-            assert l0_distance(a, c, toy5) <= l0_distance(a, b, toy5) + l0_distance(b, c, toy5)
+            assert l0_distance(a, c) <= l0_distance(a, b) + l0_distance(b, c)
 
 
 class TestProject:
@@ -207,7 +215,7 @@ class TestProject:
         for idx, cand in enumerate(candidates):
             p = predict(state, cand, train14)
             if p.feasible and p.max_rho <= shield_cfg.rho_max:
-                scored.append((l0_distance(cand, proposed, train14), p.max_rho, idx, cand))
+                scored.append((l0_distance(cand, proposed), p.max_rho, idx, cand))
         best = min(scored)
         assert decision.executed == best[3]
         assert all(s[0] >= decision.l0_distance for s in scored)
@@ -289,3 +297,129 @@ class TestSoundness:
             state = out.next_state
             if out.terminated:
                 break
+
+
+# Reference decisions computed the way the shield computed them before the
+# kernel: predict on every candidate, in candidate order.
+
+def _ref_project(state, proposed, spec, cfg):
+    prop = predict(state, proposed, spec)
+    if prop.feasible and prop.max_rho <= cfg.rho_max:
+        return shield.ShieldDecision(proposed, proposed, False, False, prop.max_rho, 0)
+    scored = []
+    for idx, cand in enumerate(default_candidates(spec)):
+        p = predict(state, cand, spec)
+        if p.feasible and p.max_rho <= cfg.rho_max:
+            scored.append((l0_distance(cand, proposed), p.max_rho, idx, cand))
+    if not scored:
+        noop = predict(state, NOOP, spec)
+        return shield.ShieldDecision(
+            NOOP, proposed, True, False, noop.max_rho, l0_distance(NOOP, proposed), True
+        )
+    l0, peak, _, chosen = min(scored, key=lambda s: s[:3])
+    return shield.ShieldDecision(chosen, proposed, True, True, peak, l0)
+
+
+def _ref_cbf_mask(state, candidates, spec, cfg):
+    preds = [predict(state, a, spec) for a in candidates]
+    mask = np.array([p.feasible and p.max_rho <= cfg.rho_max for p in preds])
+    if not mask.any():
+        mask = np.array([a == NOOP for a in candidates])
+    return mask
+
+
+def _ref_ground(abstract, state, spec):
+    rho = state.last_solution.rho
+    ranked = sorted(np.flatnonzero(state.line_status).tolist(), key=lambda l: (-rho[l], l))
+    if int(abstract) > len(ranked):
+        return NOOP
+    target = spec.lines[ranked[int(abstract) - 1]]
+    buses = {target.from_bus, target.to_bus}
+    best = None
+    for ell, line in enumerate(spec.lines):
+        if state.line_status[ell] and buses & {line.from_bus, line.to_bus}:
+            key = (predict(state, disconnect(ell), spec).max_rho, ell)
+            if best is None or key < best:
+                best = key
+    if best is None or not np.isfinite(best[0]):
+        return NOOP
+    return disconnect(best[1])
+
+
+def _bits(decision):
+    """Decision fields with floats as their exact bit pattern."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(decision))
+
+
+def _check_decisions(state, spec, rho_max, proposals):
+    relieve = [AbstractAction(r) for r in (1, 2, 3)]
+    grounded = [ground_action(a, state, spec, EnvConfig()) for a in relieve]
+    for a, got in zip(relieve, grounded):
+        assert got == _ref_ground(a, state, spec)
+    cfg = ShieldConfig(mode=ShieldMode.PROJECTION, rho_max=rho_max)
+    for proposed in proposals:
+        assert _bits(project(state, proposed, spec, cfg)) == _bits(
+            _ref_project(state, proposed, spec, cfg)
+        )
+    candidates = [NOOP, *grounded, *proposals]
+    np.testing.assert_array_equal(
+        cbf_mask(state, candidates, spec, cfg), _ref_cbf_mask(state, candidates, spec, cfg)
+    )
+
+
+def _thresholds(state, spec):
+    """0.98 plus rho_max set exactly to candidates' exact peaks."""
+    peaks = sorted(
+        {p for p in (predict(state, a, spec).max_rho for a in default_candidates(spec))
+         if np.isfinite(p)}
+    )
+    return [0.98] + peaks[:2] + peaks[len(peaks) // 2 : len(peaks) // 2 + 1] + peaks[-1:]
+
+
+class TestDecisionEquivalence:
+    """project, cbf_mask and ground_action decide exactly as a shield that
+    predicts every candidate, recorded peaks bit for bit."""
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_random_specs_with_outages(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = random_connected_spec(rng, int(rng.integers(3, 16)))
+        base = reset(spec, EnvConfig(), seed=0)
+        for p in (1.0, 0.8):
+            status = rng.random(spec.n_lines) < p
+            state = dataclasses.replace(base, line_status=status)
+            k = int(rng.integers(spec.n_lines))
+            proposals = [NOOP, disconnect(k), reconnect(k)]
+            for rho_max in _thresholds(state, spec):
+                _check_decisions(state, spec, rho_max, proposals)
+
+    def test_tied_peaks(self):
+        # twin parallel lines: cutting either twin predicts the same peak
+        twin = (LineSpec(0, 0, 1, 5.0, 1.0), LineSpec(1, 0, 1, 5.0, 1.0))
+        spec = GridSpec(
+            buses=(0, 1, 2),
+            lines=twin + (LineSpec(2, 1, 2, 4.0, 1.2), LineSpec(3, 0, 2, 3.0, 1.0)),
+            generators=(GenSpec(0, 0, 0.0, 4.0, 0.5),),
+            loads=(LoadSpec(0, 1, 0.4), LoadSpec(1, 2, 0.9)),
+            slack_bus=0,
+        )
+        state = reset(spec, EnvConfig(load_noise_sigma=0.0), seed=0)
+        p0 = predict(state, disconnect(0), spec).max_rho
+        assert p0 == predict(state, disconnect(1), spec).max_rho
+        for rho_max in [0.98, p0] + _thresholds(state, spec):
+            _check_decisions(state, spec, rho_max, [NOOP, disconnect(3), reconnect(2)])
+
+    @pytest.mark.parametrize("name", ["train14", "large36"])
+    def test_builtin_stress_states(self, name):
+        spec = builtin_grid(name)
+        cfg = EnvConfig(stress_mode=True, stress_outage_step=1)
+        state = reset(spec, cfg, seed=4)
+        rng = np.random.default_rng(4)
+        for _ in range(4):
+            k = int(rng.integers(spec.n_lines))
+            for rho_max in _thresholds(state, spec)[:3]:
+                _check_decisions(state, spec, rho_max, [NOOP, disconnect(k)])
+            out = step(state, disconnect(k), spec, cfg)
+            if out.terminated:
+                break
+            state = out.next_state
