@@ -73,9 +73,9 @@ def extract_features(state: EnvState, spec: GridSpec) -> np.ndarray:
     features = np.empty(FEATURE_DIM)
     features[:TOP_K] = padded
     features[5] = np.count_nonzero(rho > HIGH_LOAD_THRESHOLD) / n_lines
-    features[6] = rho.mean()
+    features[6] = rho.sum() / n_lines
     features[7] = 1.0 - rho.max()
-    features[8] = 1.0 - state.line_status.mean()
+    features[8] = 1.0 - np.count_nonzero(state.line_status) / n_lines
     features[9] = state.load_demands.sum() / c.p_max.sum()
     features[10] = 1.0 - state.t / state.horizon
     return features
@@ -135,7 +135,7 @@ def policy_logits(params: PolicyParams, x: np.ndarray) -> np.ndarray:
 
 def action_distribution(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax (max subtraction); rows sum to 1."""
-    z = logits - np.max(logits, axis=-1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -169,7 +169,11 @@ def _longest_out_reconnect(state: EnvState) -> Action:
 
 
 def ground_action(
-    abstract: AbstractAction, state: EnvState, spec: GridSpec, config: EnvConfig
+    abstract: AbstractAction,
+    state: EnvState,
+    spec: GridSpec,
+    config: EnvConfig,
+    ranked: np.ndarray | None = None,
 ) -> Action:
     """Model-based executor for abstract intents.
 
@@ -177,6 +181,8 @@ def ground_action(
     for the disconnection with the lowest predicted peak loading (no
     admissibility filtering; the executor alone gives no safety guarantee).
     Falls back to NoOp when every candidate would island load or generation.
+    `ranked` is ranked_lines(state), for a caller grounding several intents
+    on one state.
     """
     if abstract is AbstractAction.HOLD:
         return NOOP
@@ -184,7 +190,8 @@ def ground_action(
         return _longest_out_reconnect(state)
 
     rank = int(abstract)  # RELIEVE_RANK1..3 -> 1..3
-    ranked = ranked_lines(state)
+    if ranked is None:
+        ranked = ranked_lines(state)
     if rank > len(ranked):
         return NOOP
     best = shield_mod.lowest_peak(state, spec, 1 + _neighborhood(spec, ranked[rank - 1], state))
@@ -279,9 +286,8 @@ def act(
         )
 
     if variant is AgentVariant.HIERARCHY_CBF:
-        grounded = [
-            ground_action(a, state, spec, env_cfg) for a in AbstractAction
-        ]
+        ranked = ranked_lines(state)
+        grounded = [ground_action(a, state, spec, env_cfg, ranked) for a in AbstractAction]
         mask = shield_mod.cbf_mask(state, grounded, spec, shield_cfg)
         abstract, x = _policy_sample(params, state, spec, rng, mask=mask)
         executed = grounded[int(abstract)]

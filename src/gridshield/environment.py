@@ -212,7 +212,7 @@ def sample_disturbance(state: EnvState, config: EnvConfig) -> Disturbance:
     force an outage of the currently highest-loaded in-service line."""
     n_loads = state.load_demands.shape[0]
     mult = 1.0 + config.load_noise_sigma * state.rng.standard_normal(n_loads)
-    mult = np.clip(mult, MULTIPLIER_LO, MULTIPLIER_HI)
+    mult = np.minimum(np.maximum(mult, MULTIPLIER_LO), MULTIPLIER_HI)
     forced: tuple[int, ...] = ()
     if config.stress_mode and state.t == config.stress_outage_step:
         rho = np.where(state.line_status, state.last_solution.rho, -1.0)
@@ -243,7 +243,7 @@ def compute_reward(
 ) -> float:
     """r = SURVIVAL_BONUS + clamp(margin, -1, 1), minus the collapse penalty
     on collapse."""
-    r = SURVIVAL_BONUS + float(np.clip(safety_margin(rho), -1.0, 1.0))
+    r = SURVIVAL_BONUS + min(max(safety_margin(rho), -1.0), 1.0)
     if terminated_by_collapse:
         r -= config.collapse_penalty
     return r

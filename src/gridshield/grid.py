@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dgetrs
 
 # Pivot magnitude below which the reduced Laplacian counts as singular.
 SINGULAR_PIVOT_TOL = 1e-12
@@ -105,13 +106,14 @@ class PowerFlowSolution:
 class _CompiledSpec:
     """Index arrays derived from a GridSpec, cached for the hot path."""
 
-    bus_index: dict[int, int]
     from_idx: np.ndarray
     to_idx: np.ndarray
     susceptance: np.ndarray
     limits: np.ndarray
-    gen_bus_idx: np.ndarray
-    load_bus_idx: np.ndarray
+    # (from, to) bus index pairs as plain ints, for the union-find
+    line_ends: tuple[tuple[int, int], ...]
+    # generator buses followed by load buses, the order injections sum in
+    injection_bus_idx: np.ndarray
     p_min: np.ndarray
     p_max: np.ndarray
     ramp: np.ndarray
@@ -136,13 +138,14 @@ def compiled(spec: GridSpec) -> _CompiledSpec:
     for arr in (incidence, adjacency):
         arr.setflags(write=False)
     return _CompiledSpec(
-        bus_index=bus_index,
         from_idx=from_idx,
         to_idx=to_idx,
+        line_ends=tuple(zip(from_idx.tolist(), to_idx.tolist())),
+        injection_bus_idx=np.array(
+            [bus_index[u.bus] for u in spec.generators + spec.loads], dtype=np.intp
+        ),
         susceptance=np.array([l.susceptance for l in spec.lines], dtype=float),
         limits=np.array([l.thermal_limit for l in spec.lines], dtype=float),
-        gen_bus_idx=np.array([bus_index[g.bus] for g in spec.generators], dtype=np.intp),
-        load_bus_idx=np.array([bus_index[d.bus] for d in spec.loads], dtype=np.intp),
         p_min=np.array([g.p_min for g in spec.generators], dtype=float),
         p_max=np.array([g.p_max for g in spec.generators], dtype=float),
         ramp=np.array([g.ramp_limit for g in spec.generators], dtype=float),
@@ -215,24 +218,13 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-# Topologies recur heavily across steps and lookahead queries, so the
-# labels, the factorization below and the shield's zero-disturbance
-# predictions are memoized on (spec, line status as bytes).  Each memo keeps
-# at most this many least-recently-used entries and hands out read-only
-# arrays, so no caller can corrupt a later hit.
-TOPOLOGY_MEMO = 16384
-
-
-@lru_cache(maxsize=TOPOLOGY_MEMO)
 def _component_labels(spec: GridSpec, status: bytes) -> np.ndarray:
     """Per-bus component label (root bus index) over in-service lines."""
-    c = compiled(spec)
+    ends = compiled(spec).line_ends
     uf = _UnionFind(spec.n_buses)
-    for ell in np.flatnonzero(np.frombuffer(status, dtype=bool)):
-        uf.union(int(c.from_idx[ell]), int(c.to_idx[ell]))
-    labels = np.array([uf.find(i) for i in range(spec.n_buses)], dtype=np.intp)
-    labels.setflags(write=False)
-    return labels
+    for ell in np.flatnonzero(np.frombuffer(status, dtype=bool)).tolist():
+        uf.union(*ends[ell])
+    return np.array([uf.find(i) for i in range(spec.n_buses)], dtype=np.intp)
 
 
 def connected_components(spec: GridSpec, line_status: np.ndarray) -> list[list[int]]:
@@ -249,39 +241,72 @@ def connected_components(spec: GridSpec, line_status: np.ndarray) -> list[list[i
     return sorted(comps, key=lambda g: g[0])
 
 
+@dataclass(frozen=True)
+class _Topology:
+    """What a line status fixes for every solve on it: the slack island's
+    buses, whether it holds every load and generator, its in-service lines,
+    its buses but the slack (`red`) and the LU factors of the susceptance
+    Laplacian over `red` (empty when `red` is)."""
+
+    in_island: np.ndarray
+    feasible: bool
+    active: np.ndarray
+    red: np.ndarray
+    lu: np.ndarray
+    piv: np.ndarray
+
+
+# Topologies recur heavily across steps and lookahead queries, so the
+# topology record below, the kernel's outage peaks and the shield's
+# zero-disturbance predictions are memoized on (spec, line status as bytes,
+# ...).  Each memo keeps at most this many least-recently-used entries and
+# hands out read-only arrays, so no caller can corrupt a later hit.
+TOPOLOGY_MEMO = 16384
+
+
 @lru_cache(maxsize=TOPOLOGY_MEMO)
-def _reduced_factorization(spec: GridSpec, status: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """LU factors of the slack island's susceptance Laplacian with the slack
-    row and column removed; episodes solve the same topology step after step
-    with fresh injections."""
+def _topology(spec: GridSpec, status: bytes) -> _Topology:
+    """Built once per line status; episodes then solve it step after step."""
     c = compiled(spec)
     n = spec.n_buses
     labels = _component_labels(spec, status)
     in_island = labels == labels[c.slack_idx]
+    feasible = bool(in_island[c.injection_bus_idx].all())
     active = np.frombuffer(status, dtype=bool) & in_island[c.from_idx]
     red = np.flatnonzero(in_island & (np.arange(n) != c.slack_idx))
-    b_full = np.zeros((n, n))
-    fi, ti = c.from_idx[active], c.to_idx[active]
-    bs = c.susceptance[active]
-    np.add.at(b_full, (fi, fi), bs)
-    np.add.at(b_full, (ti, ti), bs)
-    np.add.at(b_full, (fi, ti), -bs)
-    np.add.at(b_full, (ti, fi), -bs)
-    b_red = b_full[np.ix_(red, red)]
-    lu, piv = lu_factor(b_red, check_finite=False)
-    if np.abs(np.diag(lu)).min() < SINGULAR_PIVOT_TOL:
-        raise SingularSystemError("reduced susceptance matrix is singular")
-    lu.setflags(write=False)
-    piv.setflags(write=False)
-    return lu, piv
+    if red.size:
+        b_full = np.zeros((n, n))
+        fi, ti = c.from_idx[active], c.to_idx[active]
+        bs = c.susceptance[active]
+        np.add.at(b_full, (fi, fi), bs)
+        np.add.at(b_full, (ti, ti), bs)
+        np.add.at(b_full, (fi, ti), -bs)
+        np.add.at(b_full, (ti, fi), -bs)
+        lu, piv = lu_factor(b_full[np.ix_(red, red)], check_finite=False)
+        if np.abs(np.diag(lu)).min() < SINGULAR_PIVOT_TOL:
+            raise SingularSystemError("reduced susceptance matrix is singular")
+    else:
+        lu, piv = np.empty((0, 0)), np.empty(0, dtype=np.int32)
+    for arr in (in_island, active, red, lu, piv):
+        arr.setflags(write=False)
+    return _Topology(in_island, feasible, active, red, lu, piv)
+
+
+def _solve_reduced(topo: _Topology, rhs: np.ndarray) -> np.ndarray:
+    """Angles over `topo.red` for one or several right-hand sides (getrs)."""
+    x, info = dgetrs(topo.lu, topo.piv, rhs)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of dgetrs")
+    return x
 
 
 def bus_injections(spec: GridSpec, setpoints: np.ndarray, demands: np.ndarray) -> np.ndarray:
+    """Per-bus net injection: each bus sums its generators' setpoints, then
+    subtracts its loads' demands, in spec order."""
     c = compiled(spec)
-    inj = np.zeros(spec.n_buses)
-    np.add.at(inj, c.gen_bus_idx, setpoints)
-    np.add.at(inj, c.load_bus_idx, -demands)
-    return inj
+    return np.bincount(
+        c.injection_bus_idx, np.concatenate((setpoints, -demands)), minlength=spec.n_buses
+    )
 
 
 def solve_dc_power_flow(
@@ -296,33 +321,21 @@ def solve_dc_power_flow(
     infeasible when a load or generator is stranded there.
     """
     c = compiled(spec)
-    injections = np.asarray(injections, dtype=float)
-    status = np.asarray(line_status, dtype=bool)
-    key = status.tobytes()
-    n = spec.n_buses
-
-    labels = _component_labels(spec, key)
-    in_island = labels == labels[c.slack_idx]
-    feasible = bool(np.all(in_island[c.gen_bus_idx]) and np.all(in_island[c.load_bus_idx]))
-
-    active = status & in_island[c.from_idx]
-
-    balanced = np.where(in_island, injections, 0.0)
+    topo = _topology(spec, np.asarray(line_status, dtype=bool).tobytes())
+    balanced = np.where(topo.in_island, np.asarray(injections, dtype=float), 0.0)
     balanced[c.slack_idx] = 0.0
     balanced[c.slack_idx] = -balanced.sum()
 
-    red = np.flatnonzero(in_island & (np.arange(n) != c.slack_idx))
-    angles = np.zeros(n)
-    if red.size:
-        lu_piv = _reduced_factorization(spec, key)
-        angles[red] = lu_solve(lu_piv, balanced[red], check_finite=False)
+    angles = np.zeros(spec.n_buses)
+    if topo.red.size:
+        angles[topo.red] = _solve_reduced(topo, balanced[topo.red])
 
     flows = np.where(
-        active, c.susceptance * (angles[c.from_idx] - angles[c.to_idx]), 0.0
+        topo.active, c.susceptance * (angles[c.from_idx] - angles[c.to_idx]), 0.0
     )
     rho = np.abs(flows) / c.limits
     return PowerFlowSolution(
-        angles=angles, flows=flows, rho=rho, feasible=feasible, injections=balanced
+        angles=angles, flows=flows, rho=rho, feasible=topo.feasible, injections=balanced
     )
 
 
@@ -347,17 +360,14 @@ def outage_peaks(spec: GridSpec, status: bytes, setpoints: bytes) -> np.ndarray:
     cut splits the slack island, are NaN: only an exact solve answers them.
     """
     c = compiled(spec)
-    line_status = np.frombuffer(status, dtype=bool)
     injections = bus_injections(spec, np.frombuffer(setpoints, dtype=float), c.base_demand)
-    base = solve_dc_power_flow(spec, injections, line_status)
+    base = solve_dc_power_flow(spec, injections, np.frombuffer(status, dtype=bool))
     peaks = np.full(spec.n_lines + 1, np.max(base.rho, initial=0.0) if base.feasible else np.inf)
-    labels = _component_labels(spec, status)
-    in_island = labels == labels[c.slack_idx]
-    lines = np.flatnonzero(line_status & in_island[c.from_idx])
+    topo = _topology(spec, status)
+    lines = np.flatnonzero(topo.active)
     if base.feasible and lines.size:
-        red = np.flatnonzero(in_island & (np.arange(spec.n_buses) != c.slack_idx))
-        incidence = c.incidence[np.ix_(red, lines)]
-        angles = lu_solve(_reduced_factorization(spec, status), incidence, check_finite=False)
+        incidence = c.incidence[np.ix_(topo.red, lines)]
+        angles = _solve_reduced(topo, incidence)
         h = c.susceptance[lines, None] * (incidence.T @ angles)
         denom = 1.0 - np.diag(h)
         bridge = denom < BRIDGE_SCREEN

@@ -33,14 +33,8 @@ from .training import TrainConfig
 POLICY_MAGIC = b"GSPOLICY"
 POLICY_VERSION = 1
 
-LEARNED_VARIANTS = frozenset(
-    {
-        AgentVariant.FLAT,
-        AgentVariant.HIERARCHY_ONLY,
-        AgentVariant.HIERARCHY_SHIELD,
-        AgentVariant.HIERARCHY_CBF,
-    }
-)
+# Shield-only proposes uniformly at random; every other variant has a policy.
+LEARNED_VARIANTS = frozenset(AgentVariant) - {AgentVariant.SHIELD_ONLY}
 
 TRAIN_GRID = "train14"
 
@@ -288,19 +282,8 @@ class EpisodeRecord:
     trace: list[StepTrace] | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "seed": self.seed,
-            "variant": self.variant,
-            "grid": self.grid,
-            "steps": self.steps,
-            "reward": self.reward,
-            "max_rho": self.max_rho,
-            "mean_margin": self.mean_margin,
-            "min_margin": self.min_margin,
-            "vetoes": self.vetoes,
-            "last_resort_count": self.last_resort_count,
-            "failure": self.failure,
-        }
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        del out["trace"]
         if self.trace is not None:
             out["trace"] = [dataclasses.asdict(s) for s in self.trace]
         return out

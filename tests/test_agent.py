@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gridshield import agent, environment as env, shield
+from gridshield import agent, environment as env, grid, shield
 from gridshield.agent import (
     AbstractAction,
     AgentVariant,
@@ -70,6 +70,33 @@ class TestFeatures:
             state = reset(spec, EnvConfig(), seed=0)
             assert extract_features(state, spec).shape == (FEATURE_DIM,)
 
+    @pytest.mark.parametrize("name", ["toy5", "train14", "large36"])
+    def test_equals_mean_formulation_bit_for_bit(self, name, request):
+        spec = request.getfixturevalue(name)
+        cfg = EnvConfig(load_noise_sigma=0.1)
+        state = reset(spec, cfg, seed=3)
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            rho = state.last_solution.rho
+            want = np.empty(FEATURE_DIM)
+            top = np.sort(rho)[::-1][:5]
+            want[:5] = np.pad(top, (0, 5 - top.size))
+            want[5] = np.count_nonzero(rho > agent.HIGH_LOAD_THRESHOLD) / rho.size
+            want[6] = rho.mean()
+            want[7] = 1.0 - rho.max()
+            want[8] = 1.0 - state.line_status.mean()
+            want[9] = state.load_demands.sum() / grid.compiled(spec).p_max.sum()
+            want[10] = 1.0 - state.t / state.horizon
+            got = extract_features(state, spec)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+            # random disconnects and reconnects vary the service fraction
+            action = env.enumerate_actions(spec, cfg)[int(rng.integers(1 + 2 * spec.n_lines))]
+            outcome = step(state, action, spec, cfg)
+            if outcome.terminated:
+                state = reset(spec, cfg, seed=int(rng.integers(1000)))
+            else:
+                state = outcome.next_state
+
 
 class TestPolicyNetwork:
     def test_zero_weights_zero_logits(self):
@@ -125,6 +152,22 @@ class TestActionDistribution:
         d = action_distribution(np.array([1000.0, 0.0]))
         assert d[0] == pytest.approx(1.0)
         assert np.isfinite(d).all()
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_equals_np_max_formulation_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(0, 10, size=(int(rng.integers(1, 9)), 5))
+        logits[rng.random(logits.shape) < 0.2] = -np.inf  # masked entries
+        logits[:, 0] = np.where(np.isinf(logits).all(axis=1), 0.0, logits[:, 0])
+        for x in (logits, logits[0]):  # batched and 1-D
+            z = x - np.max(x, axis=-1, keepdims=True)
+            e = np.exp(z)
+            want = e / e.sum(axis=-1, keepdims=True)
+            got = action_distribution(x)
+            assert got.shape == want.shape
+            assert [v.hex() for v in got.ravel().tolist()] == [
+                v.hex() for v in want.ravel().tolist()
+            ]
 
 
 class TestSampling:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gridshield import environment as env
 from gridshield.environment import (
@@ -172,6 +173,16 @@ class TestSampleDisturbance:
         assert np.all(d.load_multipliers >= env.MULTIPLIER_LO)
         assert np.all(d.load_multipliers <= env.MULTIPLIER_HI)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.02, 0.15, 5.0])
+    def test_clamp_equals_np_clip_bit_for_bit(self, large36, sigma):
+        cfg = EnvConfig(load_noise_sigma=sigma)
+        for seed in range(20):
+            state = reset(large36, cfg, seed=seed)
+            got = sample_disturbance(state, cfg).load_multipliers
+            draw = np.random.default_rng(seed).standard_normal(large36.n_loads)
+            want = np.clip(1.0 + sigma * draw, env.MULTIPLIER_LO, env.MULTIPLIER_HI)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
 
 class TestStep:
     def test_noop_zero_noise_fixed_point(self, train14):
@@ -283,6 +294,24 @@ class TestReward:
     def test_margin_clamped(self):
         cfg = EnvConfig()
         assert compute_reward(np.array([3.5]), False, cfg) == pytest.approx(0.0)
+
+    def test_empty_rho_raises(self):
+        with pytest.raises(ValueError):
+            compute_reward(np.array([]), False, EnvConfig())
+
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=4.0), min_size=1, max_size=12),
+        st.booleans(),
+    )
+    def test_equals_np_clip_formulation_bit_for_bit(self, rho, collapse):
+        cfg = EnvConfig()
+        rho = np.array(rho)
+        want = env.SURVIVAL_BONUS + float(np.clip(1.0 - float(rho.max()), -1.0, 1.0))
+        if collapse:
+            want -= cfg.collapse_penalty
+        got = compute_reward(rho, collapse, cfg)
+        assert type(got) is float
+        assert got.hex() == want.hex()
 
 
 class TestClassifyTermination:

@@ -173,6 +173,53 @@ class TestSolvePowerFlow:
         with pytest.raises(grid.SingularSystemError):
             solve_dc_power_flow(spec, np.array([1.0, -1.0]), np.array([True]))
 
+    def test_slack_alone_keeps_angles_zero(self, two_bus, monkeypatch):
+        # an island of the slack alone has nothing to factor or solve
+        def no_factor(*args, **kwargs):
+            raise AssertionError("factorized an empty system")
+
+        monkeypatch.setattr(grid, "lu_factor", no_factor)
+        monkeypatch.setattr(grid, "dgetrs", no_factor)
+        grid._topology.cache_clear()
+        sol = solve_dc_power_flow(two_bus, np.array([1.0, -1.0]), np.array([False]))
+        assert np.all(sol.angles == 0.0) and np.all(sol.flows == 0.0)
+        assert not sol.feasible
+        assert grid._topology(two_bus, np.array([False]).tobytes()).lu.shape == (0, 0)
+
+    def test_getrs_failure_raises(self, triangle, monkeypatch):
+        monkeypatch.setattr(grid, "dgetrs", lambda lu, piv, b: (b, -3))
+        with pytest.raises(ValueError, match="argument 3"):
+            solve_dc_power_flow(triangle, np.array([1.0, 0.0, -1.0]), np.ones(3, bool))
+
+
+def _old_bus_injections(spec, setpoints, demands):
+    """The two-step accumulation bus_injections replaced."""
+    bus_index = {b: i for i, b in enumerate(spec.buses)}
+    inj = np.zeros(spec.n_buses)
+    np.add.at(inj, [bus_index[g.bus] for g in spec.generators], setpoints)
+    np.add.at(inj, [bus_index[d.bus] for d in spec.loads], -demands)
+    return inj
+
+
+class TestBusInjections:
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_equals_two_step_accumulation_bit_for_bit(self, seed):
+        # few buses carrying many generators and loads of mixed magnitude,
+        # so a different summation order rounds differently
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+        gens = tuple(
+            GenSpec(i, int(rng.integers(n)), 0.0, 1.0, 1.0) for i in range(int(rng.integers(1, 9)))
+        )
+        loads = tuple(LoadSpec(i, int(rng.integers(n)), 1.0) for i in range(int(rng.integers(0, 9))))
+        spec = GridSpec(tuple(range(n)), (), gens, loads, 0)
+        setpoints = rng.normal(size=len(gens)) * 10.0 ** rng.integers(-8, 9, len(gens))
+        demands = rng.normal(size=len(loads)) * 10.0 ** rng.integers(-8, 9, len(loads))
+        got = grid.bus_injections(spec, setpoints, demands)
+        want = _old_bus_injections(spec, setpoints, demands)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
 
 class TestLoadingMetrics:
     def test_loading_ratio_definition(self, two_bus):
@@ -251,8 +298,7 @@ class TestConnectedComponents:
 
 
 def _clear_memos():
-    grid._component_labels.cache_clear()
-    grid._reduced_factorization.cache_clear()
+    grid._topology.cache_clear()
     grid.outage_peaks.cache_clear()
     shield._predict_solution.cache_clear()
 
@@ -272,11 +318,9 @@ class TestTopologyMemo:
         state = env.reset(train14, EnvConfig(), seed=0)
         pred = shield.predict(state, NOOP, train14)
         before = pred.rho.copy()
-        key = state.line_status.tobytes()
-        lu, piv = grid._reduced_factorization(train14, key)
-        labels = grid._component_labels(train14, key)
+        topo = grid._topology(train14, state.line_status.tobytes())
         peaks = shield.lookahead(state, train14)
-        for arr in (pred.rho, lu, piv, labels, peaks):
+        for arr in (pred.rho, topo.in_island, topo.active, topo.red, topo.lu, topo.piv, peaks):
             with pytest.raises(ValueError):
                 arr[0] = 5
         again = shield.predict(state, NOOP, train14)
@@ -298,6 +342,8 @@ class TestTopologyMemo:
         shield.predict(state, NOOP, train14)
         np.testing.assert_array_equal(solve_dc_power_flow(twin, inj, status).flows, cold.flows)
         np.testing.assert_array_equal(shield.predict(state, NOOP, twin).rho, cold_pred.rho)
+        key = status.tobytes()
+        assert not np.array_equal(grid._topology(twin, key).lu, grid._topology(train14, key).lu)
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_warm_solves_equal_cold_solves(self, seed):
@@ -317,10 +363,15 @@ class TestTopologyMemo:
             cold.append(
                 (solve_dc_power_flow(s, inj, status),
                  shield._predict_solution(s, status.tobytes(), setpoints),
-                 grid.outage_peaks(s, status.tobytes(), setpoints))
+                 grid.outage_peaks(s, status.tobytes(), setpoints),
+                 grid._topology(s, status.tobytes()))
             )
         for _ in range(2):  # the first pass mixes misses and hits, the second only hits
-            for (s, status), (sol, pred, peaks) in zip(queries, cold):
+            for (s, status), (sol, pred, peaks, topo) in zip(queries, cold):
+                warm_topo = grid._topology(s, status.tobytes())
+                assert warm_topo.feasible == topo.feasible
+                for field in ("in_island", "active", "red", "lu", "piv"):
+                    np.testing.assert_array_equal(getattr(warm_topo, field), getattr(topo, field))
                 warm = solve_dc_power_flow(s, inj, status)
                 np.testing.assert_array_equal(warm.angles, sol.angles)
                 np.testing.assert_array_equal(warm.flows, sol.flows)

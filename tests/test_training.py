@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -303,3 +307,41 @@ class TestTrain:
         assert traj.features.shape[0] <= 15
         first = env.reset(toy5, EnvConfig(horizon=15), 3)
         np.testing.assert_array_equal(traj.features[0], extract_features(first, toy5))
+
+
+GOLDEN_TRAIN = Path(__file__).parent / "data" / "golden_train_train14.json"
+
+
+def train_golden() -> str:
+    """Per-update returns of a short hierarchy+shield training on train14, as
+    float.hex, and a sha256 of the final parameters' bytes, as JSON text.
+    Run this module as a script to rewrite the committed golden."""
+    from gridshield.grids import builtin_grid
+
+    result = train(
+        builtin_grid("train14"),
+        EnvConfig(),
+        TrainConfig(episodes_per_update=4, total_updates=2),
+        ShieldConfig(mode=ShieldMode.PROJECTION),
+        AgentVariant.HIERARCHY_SHIELD,
+        seed=11,
+    )
+    digest = hashlib.sha256()
+    for layer in result.params.layers():
+        digest.update(np.ascontiguousarray(layer).tobytes())
+    payload = {
+        "mean_returns": [float(r).hex() for r in result.mean_returns],
+        "margin_returns": [float(r).hex() for r in result.margin_returns],
+        "params_sha256": digest.hexdigest(),
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_training_matches_golden():
+    # any change to a solve, a reward, a feature, a decision or the update
+    # shows up as a differing return or parameter digest
+    assert train_golden() == GOLDEN_TRAIN.read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN_TRAIN.write_text(train_golden())
