@@ -10,7 +10,6 @@ overload).  Run after any change to the grid constants.
 import numpy as np
 
 from gridshield import environment as env
-from gridshield import shield
 from gridshield.grids import builtin_grid
 
 
@@ -83,6 +82,10 @@ def report(name):
     print()
 
 
-if __name__ == "__main__":
+def main():
     for name in ("toy5", "train14", "large36"):
         report(name)
+
+
+if __name__ == "__main__":
+    main()

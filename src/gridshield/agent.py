@@ -95,9 +95,6 @@ class PolicyParams:
     def layers(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
 
-    def copy(self) -> "PolicyParams":
-        return PolicyParams(*[a.copy() for a in self.layers()])
-
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.w1.shape[0], self.w1.shape[1], self.w2.shape[1], self.w3.shape[1])
@@ -141,11 +138,18 @@ def action_distribution(logits: np.ndarray) -> np.ndarray:
 
 
 def sample_abstract(dist: np.ndarray, rng: np.random.Generator) -> AbstractAction:
-    """Inverse-CDF sample from a categorical distribution."""
+    """Inverse-CDF sample from a categorical distribution: the first intent
+    whose running sum of probabilities, added left to right, exceeds a
+    uniform draw, else the last."""
     r = rng.random()
-    cum = np.cumsum(dist)
-    idx = int(np.searchsorted(cum, r, side="right"))
-    return AbstractAction(min(idx, dist.size - 1))
+    probs = dist.tolist()
+    total = 0.0
+    for i, p in enumerate(probs):
+        total += p
+        # a NaN sum counts as exceeding, as numpy's searchsorted orders it
+        if not total <= r:
+            return AbstractAction(i)
+    return AbstractAction(len(probs) - 1)
 
 
 def ranked_lines(state: EnvState) -> np.ndarray:
@@ -181,8 +185,10 @@ def ground_action(
     for the disconnection with the lowest predicted peak loading (no
     admissibility filtering; the executor alone gives no safety guarantee).
     Falls back to NoOp when every candidate would island load or generation.
-    `ranked` is ranked_lines(state), for a caller grounding several intents
-    on one state.
+    The answer is read from the state's relieve table; only targets the
+    table defers to shield.lowest_peak run a search.  `ranked` is
+    ranked_lines(state), for a caller grounding several intents on one
+    state.
     """
     if abstract is AbstractAction.HOLD:
         return NOOP
@@ -194,8 +200,12 @@ def ground_action(
         ranked = ranked_lines(state)
     if rank > len(ranked):
         return NOOP
-    best = shield_mod.lowest_peak(state, spec, 1 + _neighborhood(spec, ranked[rank - 1], state))
-    return NOOP if best is None else shield_mod.default_candidates(spec)[best]
+    target = ranked[rank - 1]
+    best = int(shield_mod.relieve_table(state, spec)[target])
+    if best < 0:
+        best = shield_mod.lowest_peak(state, spec, 1 + _neighborhood(spec, target, state)) or 0
+    # position 0 is NoOp
+    return shield_mod.default_candidates(spec)[best]
 
 
 @lru_cache(maxsize=64)

@@ -110,8 +110,9 @@ class _CompiledSpec:
     to_idx: np.ndarray
     susceptance: np.ndarray
     limits: np.ndarray
-    # (from, to) bus index pairs as plain ints, for the union-find
-    line_ends: tuple[tuple[int, int], ...]
+    # per bus, the (line, other end) pairs of the lines at it, as plain
+    # ints for the component search
+    bus_lines: tuple[tuple[tuple[int, int], ...], ...]
     # generator buses followed by load buses, the order injections sum in
     injection_bus_idx: np.ndarray
     p_min: np.ndarray
@@ -123,6 +124,10 @@ class _CompiledSpec:
     incidence: np.ndarray
     # line x line: the two lines share a bus (a line shares its own)
     line_adjacency: np.ndarray
+    # flat bus x bus positions and weights of each line's four Laplacian
+    # entries, rows in the order (from, from), (to, to), (from, to), (to, from)
+    laplacian_idx: np.ndarray
+    laplacian_w: np.ndarray
 
 
 @lru_cache(maxsize=64)
@@ -135,16 +140,26 @@ def compiled(spec: GridSpec) -> _CompiledSpec:
     incidence[to_idx, np.arange(spec.n_lines)] = -1.0
     touches = incidence != 0
     adjacency = (touches.T.astype(int) @ touches.astype(int)) > 0
-    for arr in (incidence, adjacency):
+    susceptance = np.array([l.susceptance for l in spec.lines], dtype=float)
+    n = spec.n_buses
+    laplacian_idx = np.stack(
+        (from_idx * n + from_idx, to_idx * n + to_idx, from_idx * n + to_idx, to_idx * n + from_idx)
+    )
+    laplacian_w = np.stack((susceptance, susceptance, -susceptance, -susceptance))
+    bus_lines: list[list[tuple[int, int]]] = [[] for _ in spec.buses]
+    for ell, (u, v) in enumerate(zip(from_idx.tolist(), to_idx.tolist())):
+        bus_lines[u].append((ell, v))
+        bus_lines[v].append((ell, u))
+    for arr in (incidence, adjacency, laplacian_idx, laplacian_w):
         arr.setflags(write=False)
     return _CompiledSpec(
         from_idx=from_idx,
         to_idx=to_idx,
-        line_ends=tuple(zip(from_idx.tolist(), to_idx.tolist())),
+        bus_lines=tuple(tuple(at) for at in bus_lines),
         injection_bus_idx=np.array(
             [bus_index[u.bus] for u in spec.generators + spec.loads], dtype=np.intp
         ),
-        susceptance=np.array([l.susceptance for l in spec.lines], dtype=float),
+        susceptance=susceptance,
         limits=np.array([l.thermal_limit for l in spec.lines], dtype=float),
         p_min=np.array([g.p_min for g in spec.generators], dtype=float),
         p_max=np.array([g.p_max for g in spec.generators], dtype=float),
@@ -153,6 +168,8 @@ def compiled(spec: GridSpec) -> _CompiledSpec:
         slack_idx=bus_index[spec.slack_bus],
         incidence=incidence,
         line_adjacency=adjacency,
+        laplacian_idx=laplacian_idx,
+        laplacian_w=laplacian_w,
     )
 
 
@@ -198,33 +215,24 @@ def validate_spec(spec: GridSpec) -> list[str]:
     return violations
 
 
-class _UnionFind:
-    """Union-find with path compression over integer bus indices."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def _component_labels(spec: GridSpec, status: bytes) -> np.ndarray:
-    """Per-bus component label (root bus index) over in-service lines."""
-    ends = compiled(spec).line_ends
-    uf = _UnionFind(spec.n_buses)
-    for ell in np.flatnonzero(np.frombuffer(status, dtype=bool)).tolist():
-        uf.union(*ends[ell])
-    return np.array([uf.find(i) for i in range(spec.n_buses)], dtype=np.intp)
+    """Per-bus component label over in-service lines: the smallest bus index
+    of the component."""
+    bus_lines = compiled(spec).bus_lines
+    in_service = np.frombuffer(status, dtype=bool).tolist()
+    labels = [-1] * spec.n_buses
+    # buses in index order, so each search starts at its component's smallest
+    for root in range(spec.n_buses):
+        if labels[root] >= 0:
+            continue
+        labels[root] = root
+        stack = [root]
+        while stack:
+            for ell, other in bus_lines[stack.pop()]:
+                if in_service[ell] and labels[other] < 0:
+                    labels[other] = root
+                    stack.append(other)
+    return np.array(labels, dtype=np.intp)
 
 
 def connected_components(spec: GridSpec, line_status: np.ndarray) -> list[list[int]]:
@@ -257,10 +265,11 @@ class _Topology:
 
 
 # Topologies recur heavily across steps and lookahead queries, so the
-# topology record below, the kernel's outage peaks and the shield's
-# zero-disturbance predictions are memoized on (spec, line status as bytes,
-# ...).  Each memo keeps at most this many least-recently-used entries and
-# hands out read-only arrays, so no caller can corrupt a later hit.
+# topology record below, the kernel's outage peaks, the shield's
+# zero-disturbance predictions and the executor's relieve table are memoized
+# on (spec, line status as bytes, ...).  Each memo keeps at most this many
+# least-recently-used entries and hands out read-only arrays, so no caller
+# can corrupt a later hit.
 TOPOLOGY_MEMO = 16384
 
 
@@ -275,13 +284,10 @@ def _topology(spec: GridSpec, status: bytes) -> _Topology:
     active = np.frombuffer(status, dtype=bool) & in_island[c.from_idx]
     red = np.flatnonzero(in_island & (np.arange(n) != c.slack_idx))
     if red.size:
-        b_full = np.zeros((n, n))
-        fi, ti = c.from_idx[active], c.to_idx[active]
-        bs = c.susceptance[active]
-        np.add.at(b_full, (fi, fi), bs)
-        np.add.at(b_full, (ti, ti), bs)
-        np.add.at(b_full, (fi, ti), -bs)
-        np.add.at(b_full, (ti, fi), -bs)
+        # bincount adds in input order, one line after another per entry
+        b_full = np.bincount(
+            c.laplacian_idx[:, active].ravel(), c.laplacian_w[:, active].ravel(), minlength=n * n
+        ).reshape(n, n)
         lu, piv = lu_factor(b_full[np.ix_(red, red)], check_finite=False)
         if np.abs(np.diag(lu)).min() < SINGULAR_PIVOT_TOL:
             raise SingularSystemError("reduced susceptance matrix is singular")
@@ -356,8 +362,16 @@ def outage_peaks(spec: GridSpec, status: bytes, setpoints: bytes) -> np.ndarray:
     f + H[:, k] / (1 - H_kk) * f_k with line k itself at 0 (line outage
     distribution factors; Guo et al., IEEE Trans. Power Syst. 24(3), 2009).
     Lines out of service or off the slack island leave the peak as it is; an
-    infeasible state stays infeasible under every cut (inf).  Bridges, whose
-    cut splits the slack island, are NaN: only an exact solve answers them.
+    infeasible state stays infeasible under every cut (inf).
+
+    A bridge, whose cut splits the slack island, is inf when the split it
+    makes strands a generator or load, which is exactly what the exact solve
+    finds; otherwise it is NaN and only an exact solve answers it.  Column k
+    of B_red^-1 A injects +1 at line k's from bus and -1 at its to bus, so
+    across a bridge the far side from the slack sits at |theta| = 1 / b_k and
+    the near side at 0.  Inf needs line k to be the only in-service line with
+    one end among the buses above half the column's maximum: that check is
+    combinatorial, so rounding can leave a bridge NaN but never make it inf.
     """
     c = compiled(spec)
     injections = bus_injections(spec, np.frombuffer(setpoints, dtype=float), c.base_demand)
@@ -377,6 +391,15 @@ def outage_peaks(spec: GridSpec, status: bytes, setpoints: bytes) -> np.ndarray:
         np.fill_diagonal(after, 0.0)
         cut = (np.abs(after) / c.limits[lines, None]).max(axis=0)
         peaks[1 + lines] = np.where(bridge, np.nan, cut)
+        cols = np.flatnonzero(bridge)
+        if cols.size:
+            theta = np.abs(angles[:, cols])
+            far = np.zeros((spec.n_buses, cols.size), dtype=bool)
+            far[topo.red] = theta > theta.max(axis=0) / 2
+            crosses = far[c.from_idx[lines]] != far[c.to_idx[lines]]
+            alone = (crosses.sum(axis=0) == 1) & crosses[cols, np.arange(cols.size)]
+            strands = alone & far[c.injection_bus_idx].any(axis=0)
+            peaks[1 + lines[cols[strands]]] = np.inf
     peaks.setflags(write=False)
     return peaks
 

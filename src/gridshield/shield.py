@@ -8,10 +8,12 @@ to NoOp or projected onto the nearest admissible corrective action, nearest
 in the number of control changes.
 
 NoOp and single-line disconnections are screened all at once by the line
-outage distribution factor kernel (`grid.outage_peaks`).  The exact solve
-behind `predict` stays the only source of recorded peaks and decides every
-comparison the kernel leaves within SCREEN_TOL, every bridge line and every
-other kind of action.
+outage distribution factor kernel (`grid.outage_peaks`), and the relieve
+executor's choice for every target line is read from one table built on it
+(`relieve_table`).  The exact solve behind `predict` stays the only source
+of recorded peaks and decides every comparison the kernel leaves within
+SCREEN_TOL, every bridge the kernel leaves NaN and every other kind of
+action.
 """
 
 from __future__ import annotations
@@ -57,16 +59,11 @@ def default_candidates(spec: GridSpec) -> tuple[Action, ...]:
 @dataclass(frozen=True)
 class Prediction:
     """One-step lookahead result. Infeasible topologies predict unbounded
-    loading and are never admissible."""
+    loading (max_rho inf) and are never admissible."""
 
     rho: np.ndarray
     feasible: bool
-
-    @property
-    def max_rho(self) -> float:
-        if not self.feasible:
-            return float("inf")
-        return float(self.rho.max()) if self.rho.size else 0.0
+    max_rho: float
 
 
 @dataclass(frozen=True)
@@ -92,8 +89,10 @@ def _predict_solution(spec: GridSpec, status: bytes, setpoints: bytes) -> Predic
         compiled(spec).base_demand,
         np.frombuffer(status, dtype=bool),
     )
-    solution.rho.setflags(write=False)
-    return Prediction(rho=solution.rho, feasible=solution.feasible)
+    rho = solution.rho
+    rho.setflags(write=False)
+    peak = float(np.max(rho, initial=0.0)) if solution.feasible else np.inf
+    return Prediction(rho=rho, feasible=solution.feasible, max_rho=peak)
 
 
 def predict(state: EnvState, action: Action, spec: GridSpec) -> Prediction:
@@ -111,9 +110,33 @@ def predict(state: EnvState, action: Action, spec: GridSpec) -> Prediction:
 
 def lookahead(state: EnvState, spec: GridSpec) -> np.ndarray:
     """Kernel estimate of the zero-disturbance peak of NoOp, at [0], and of
-    disconnecting line k, at [1 + k] (the order of default_candidates); NaN
-    for bridges, inf when nothing keeps the grid feasible."""
+    disconnecting line k, at [1 + k] (the order of default_candidates); inf
+    when the cut leaves a generator or load off the slack island or nothing
+    keeps the grid feasible, NaN for bridges whose far side holds neither."""
     return outage_peaks(spec, state.line_status.tobytes(), state.gen_setpoints.tobytes())
+
+
+@lru_cache(maxsize=TOPOLOGY_MEMO)
+def _relieve_table(spec: GridSpec, status: bytes, setpoints: bytes) -> np.ndarray:
+    c = compiled(spec)
+    est = outage_peaks(spec, status, setpoints)[1:]
+    hood = c.line_adjacency & np.frombuffer(status, dtype=bool)
+    unsure = np.isnan(est)
+    scores = np.where(hood & ~unsure, est, np.inf)
+    best = scores.min(axis=1)
+    near = np.count_nonzero(scores <= best[:, None] + SCREEN_TOL, axis=1)
+    table = np.where(best == np.inf, 0, np.where(near == 1, 1 + scores.argmin(axis=1), -1))
+    table[(hood & unsure).any(axis=1) | ~hood.any(axis=1)] = -1
+    table.setflags(write=False)
+    return table
+
+
+def relieve_table(state: EnvState, spec: GridSpec) -> np.ndarray:
+    """What lowest_peak returns over 1 + the in-service lines sharing a bus
+    with line k (k included), at [k], from the kernel alone: the position,
+    0 when every candidate is infeasible, and -1 where lowest_peak must
+    decide itself (a NaN neighbor, a near tie or no neighbor at all)."""
+    return _relieve_table(spec, state.line_status.tobytes(), state.gen_setpoints.tobytes())
 
 
 def _admissible(
@@ -143,8 +166,9 @@ def _admissible(
 def lowest_peak(state: EnvState, spec: GridSpec, positions: np.ndarray) -> int | None:
     """Of the default candidates at `positions` (ascending), the position of
     the one with the lowest predicted peak, ties to the lowest position, or
-    None when every one is infeasible.  Bridges, and candidates whose kernel
-    peak lies within SCREEN_TOL of the lowest, are decided by predict."""
+    None when every one is infeasible.  Candidates the kernel leaves NaN, and
+    those whose kernel peak lies within SCREEN_TOL of the lowest, are decided
+    by predict."""
     est = lookahead(state, spec)[positions]
     for j in np.flatnonzero(np.isnan(est)):
         est[j] = predict(state, default_candidates(spec)[positions[j]], spec).max_rho

@@ -194,6 +194,31 @@ class TestSampling:
         sigma = np.sqrt(0.75 * 0.25 / n)
         assert abs(p_hat - 0.75) <= 3 * sigma
 
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_equals_cumsum_searchsorted_formulation(self, seed):
+        # masked softmax rows, an all-masked NaN row, and draws placed on,
+        # just below and just above every cumulative boundary
+        class Draw:
+            def __init__(self, r):
+                self.r = r
+
+            def random(self):
+                return self.r
+
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(0, 5, size=5)
+        mask = rng.random(5) < 0.6
+        with np.errstate(invalid="ignore"):
+            dists = [action_distribution(logits), *(d / d.sum() for d in (
+                action_distribution(logits) * mask, np.zeros(5)))]
+        for dist in dists:
+            cum = np.cumsum(dist)
+            edges = [r for c in cum[np.isfinite(cum)].tolist() if 0 <= c < 1
+                     for r in (c, np.nextafter(c, 0.0), np.nextafter(c, 1.0))]
+            for r in [0.0, float(rng.random()), np.nextafter(1.0, 0.0), *edges]:
+                want = min(int(np.searchsorted(cum, r, side="right")), dist.size - 1)
+                assert sample_abstract(dist, Draw(r)) == want
+
 
 class TestGrounding:
     def test_hold_is_noop(self, train14):

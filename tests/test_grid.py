@@ -265,6 +265,35 @@ class TestLoadingMetrics:
         assert safety_margin(arr) == 1.0 - max_loading(arr)
 
 
+class _UnionFind:
+    """Union-find with path compression over integer bus indices; the root
+    of a set is its smallest index."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+
+def _union_find_labels(spec, status) -> np.ndarray:
+    c = grid.compiled(spec)
+    uf = _UnionFind(spec.n_buses)
+    for ell in np.flatnonzero(status):
+        uf.union(int(c.from_idx[ell]), int(c.to_idx[ell]))
+    return np.array([uf.find(i) for i in range(spec.n_buses)], dtype=np.intp)
+
+
 class TestConnectedComponents:
     def test_all_in_service_single_component(self, train14):
         comps = connected_components(train14, np.ones(train14.n_lines, bool))
@@ -295,12 +324,72 @@ class TestConnectedComponents:
         assert len(comps) == _brute_force_component_count(spec, status)
         assert sorted(b for c in comps for b in c) == list(spec.buses)
 
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_labels_equal_union_find(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = random_connected_spec(rng, int(rng.integers(1, 51)))
+        for p in (1.0, 0.8, 0.5, 0.0):
+            status = rng.random(spec.n_lines) < p
+            labels = grid._component_labels(spec, status.tobytes())
+            assert labels.dtype == np.intp
+            np.testing.assert_array_equal(labels, _union_find_labels(spec, status))
+
+
+def _add_at_laplacian(spec, active) -> np.ndarray:
+    """The four np.add.at accumulations the bincount build replaced."""
+    c = grid.compiled(spec)
+    n = spec.n_buses
+    b_full = np.zeros((n, n))
+    fi, ti, bs = c.from_idx[active], c.to_idx[active], c.susceptance[active]
+    np.add.at(b_full, (fi, fi), bs)
+    np.add.at(b_full, (ti, ti), bs)
+    np.add.at(b_full, (fi, ti), -bs)
+    np.add.at(b_full, (ti, fi), -bs)
+    return b_full
+
+
+class TestLaplacian:
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_factored_matrix_equals_add_at_bit_for_bit(self, seed):
+        # parallel lines of mixed magnitude, so another summation order
+        # would round differently
+        rng = np.random.default_rng(seed)
+        spec = random_connected_spec(rng, int(rng.integers(2, 21)))
+        twins = spec.lines[: int(rng.integers(0, spec.n_lines + 1))]
+        lines = spec.lines + tuple(
+            dataclasses.replace(
+                l, id=spec.n_lines + i, susceptance=l.susceptance * 10.0 ** rng.integers(-6, 7)
+            )
+            for i, l in enumerate(twins)
+        )
+        spec = dataclasses.replace(spec, lines=lines)
+        factored = []
+        real_factor = grid.lu_factor
+
+        def capture(a, **kwargs):
+            factored.append(a.copy())
+            return real_factor(a, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid, "lu_factor", capture)
+            for p in (1.0, 0.7):
+                status = rng.random(spec.n_lines) < p
+                grid._topology.cache_clear()
+                topo = grid._topology(spec, status.tobytes())
+                if not topo.red.size:
+                    continue
+                want = _add_at_laplacian(spec, topo.active)[np.ix_(topo.red, topo.red)]
+                got = factored.pop()
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        grid._topology.cache_clear()
+
 
 
 def _clear_memos():
     grid._topology.cache_clear()
     grid.outage_peaks.cache_clear()
     shield._predict_solution.cache_clear()
+    shield._relieve_table.cache_clear()
 
 
 def _hash_twin(spec, line, scale):
@@ -320,7 +409,9 @@ class TestTopologyMemo:
         before = pred.rho.copy()
         topo = grid._topology(train14, state.line_status.tobytes())
         peaks = shield.lookahead(state, train14)
-        for arr in (pred.rho, topo.in_island, topo.active, topo.red, topo.lu, topo.piv, peaks):
+        table = shield.relieve_table(state, train14)
+        arrays = (pred.rho, topo.in_island, topo.active, topo.red, topo.lu, topo.piv, peaks, table)
+        for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 5
         again = shield.predict(state, NOOP, train14)
@@ -364,10 +455,11 @@ class TestTopologyMemo:
                 (solve_dc_power_flow(s, inj, status),
                  shield._predict_solution(s, status.tobytes(), setpoints),
                  grid.outage_peaks(s, status.tobytes(), setpoints),
-                 grid._topology(s, status.tobytes()))
+                 grid._topology(s, status.tobytes()),
+                 shield._relieve_table(s, status.tobytes(), setpoints))
             )
         for _ in range(2):  # the first pass mixes misses and hits, the second only hits
-            for (s, status), (sol, pred, peaks, topo) in zip(queries, cold):
+            for (s, status), (sol, pred, peaks, topo, table) in zip(queries, cold):
                 warm_topo = grid._topology(s, status.tobytes())
                 assert warm_topo.feasible == topo.feasible
                 for field in ("in_island", "active", "red", "lu", "piv"):
@@ -382,18 +474,21 @@ class TestTopologyMemo:
                 np.testing.assert_array_equal(
                     grid.outage_peaks(s, status.tobytes(), setpoints), peaks
                 )
+                np.testing.assert_array_equal(
+                    shield._relieve_table(s, status.tobytes(), setpoints), table
+                )
 
 
 def _splits_slack_island(spec, status, line) -> bool:
     """Union-find oracle: the line is in service on the slack island and
     cutting it leaves its two ends in different components."""
     c = grid.compiled(spec)
-    labels = grid._component_labels(spec, status.tobytes())
+    labels = _union_find_labels(spec, status)
     if not status[line] or labels[c.from_idx[line]] != labels[c.slack_idx]:
         return False
     cut = status.copy()
     cut[line] = False
-    after = grid._component_labels(spec, cut.tobytes())
+    after = _union_find_labels(spec, cut)
     return bool(after[c.from_idx[line]] != after[c.to_idx[line]])
 
 
@@ -407,7 +502,12 @@ def _check_kernel_against_predict(spec, state) -> None:
         if not noop.feasible:
             assert peaks[1 + k] == exact == np.inf
         elif _splits_slack_island(spec, state.line_status, k):
-            assert np.isnan(peaks[1 + k])
+            # a bridge is exact when its cut strands a generator or load,
+            # and left to predict otherwise
+            if np.isinf(exact):
+                assert peaks[1 + k] == exact
+            else:
+                assert np.isnan(peaks[1 + k])
         else:
             assert np.isfinite(peaks[1 + k]) == np.isfinite(exact)
             if np.isfinite(exact):
@@ -437,16 +537,48 @@ class TestOutagePeaks:
             state = dataclasses.replace(state, line_status=status)
 
     def test_bridge_is_nan_and_stranding_is_inf(self, two_bus, triangle):
-        # the only line of two_bus is a bridge; triangle has none, but with
-        # line 2 out, lines 0 and 1 are
+        # the only line of two_bus is a bridge to the load; triangle has
+        # none, but with line 2 out, line 0 is a bridge to the empty bus 1
+        # and line 1 one to the load at bus 2
         state = env.reset(two_bus, EnvConfig(), seed=0)
-        assert np.isnan(shield.lookahead(state, two_bus)[1])
+        assert shield.lookahead(state, two_bus)[1] == np.inf
+        assert shield.predict(state, env.disconnect(0), two_bus).max_rho == np.inf
         state = env.reset(triangle, EnvConfig(), seed=0)
-        assert not np.isnan(shield.lookahead(state, triangle)).any()
+        assert np.isfinite(shield.lookahead(state, triangle)).all()
         cut = dataclasses.replace(state, line_status=np.array([True, True, False]))
-        assert np.isnan(shield.lookahead(cut, triangle)[1:3]).all()
+        peaks = shield.lookahead(cut, triangle)
+        assert np.isnan(peaks[1]) and peaks[2] == np.inf
+        assert np.isfinite(shield.predict(cut, env.disconnect(0), triangle).max_rho)
         stranded = dataclasses.replace(state, line_status=np.array([True, False, False]))
         assert np.isinf(shield.lookahead(stranded, triangle)).all()
+
+    def test_split_crossed_by_another_line_stays_nan(self, monkeypatch):
+        # on the path slack - 1 - 2 (load) both lines are bridges that strand
+        # the load.  Swapping the kernel's two angle columns hands each line
+        # the other's split, which the other line alone crosses.
+        spec = GridSpec(
+            buses=(0, 1, 2),
+            lines=(LineSpec(0, 0, 1, 2.0, 1.0), LineSpec(1, 1, 2, 3.0, 1.0)),
+            generators=(GenSpec(0, 0, 0.0, 2.0, 0.5),),
+            loads=(LoadSpec(0, 2, 1.0),),
+            slack_bus=0,
+        )
+        state = env.reset(spec, EnvConfig(), seed=0)
+        grid.outage_peaks.cache_clear()
+        assert (shield.lookahead(state, spec)[1:] == np.inf).all()
+        solve = grid._solve_reduced
+        monkeypatch.setattr(
+            grid,
+            "_solve_reduced",
+            lambda topo, rhs: solve(topo, rhs)[:, ::-1] if rhs.ndim == 2 else solve(topo, rhs),
+        )
+        # the swapped columns give H_kk = 0; screen every column as a bridge
+        monkeypatch.setattr(grid, "BRIDGE_SCREEN", 2.0)
+        grid.outage_peaks.cache_clear()
+        try:
+            assert np.isnan(shield.lookahead(state, spec)[1:]).all()
+        finally:
+            grid.outage_peaks.cache_clear()
 
 
 def _brute_force_component_count(spec, status) -> int:
