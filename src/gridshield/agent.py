@@ -10,6 +10,7 @@ drive grids of different sizes.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import lru_cache
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import environment as env
 from . import shield as shield_mod
-from .environment import Action, EnvConfig, EnvState, NOOP
+from .environment import Action, EnvConfig, EnvState, NOOP, StepOutcome
 from .grid import GridSpec, compiled
 from .shield import ShieldConfig, ShieldDecision, ShieldMode
 
@@ -57,7 +58,7 @@ VARIANT_SHIELD_MODE = {
 }
 
 
-def extract_features(state: EnvState, spec: GridSpec) -> np.ndarray:
+def extract_features(state: EnvState, spec: GridSpec, config: EnvConfig) -> np.ndarray:
     """Fixed-length feature vector, independent of grid size.
 
     Layout: top-5 loading ratios (descending, zero-padded), fraction of
@@ -77,7 +78,7 @@ def extract_features(state: EnvState, spec: GridSpec) -> np.ndarray:
     features[7] = 1.0 - rho.max()
     features[8] = 1.0 - np.count_nonzero(state.line_status) / n_lines
     features[9] = state.load_demands.sum() / c.p_max.sum()
-    features[10] = 1.0 - state.t / state.horizon
+    features[10] = 1.0 - state.t / config.horizon
     return features
 
 
@@ -176,7 +177,6 @@ def ground_action(
     abstract: AbstractAction,
     state: EnvState,
     spec: GridSpec,
-    config: EnvConfig,
     ranked: np.ndarray | None = None,
 ) -> Action:
     """Model-based executor for abstract intents.
@@ -218,7 +218,7 @@ def base_ranking(spec: GridSpec) -> tuple[int, ...]:
 
 
 def ground_action_direct(
-    abstract: AbstractAction, state: EnvState, spec: GridSpec, config: EnvConfig
+    abstract: AbstractAction, state: EnvState, spec: GridSpec
 ) -> Action:
     """Flat grounding: each intent is a fixed concrete primitive with no
     lookahead.  Relieve-rank-k disconnects the line holding rank k in the
@@ -240,28 +240,29 @@ class ActResult:
     """One executed action plus full decision provenance."""
 
     decision: ShieldDecision
-    abstract: AbstractAction | None
-    # Mask applied to the intent distribution before sampling (all-true when
-    # no masking happened); needed to reconstruct log-probabilities.
-    mask: np.ndarray | None
+    # The sampled intent; None without a policy.
+    abstract: AbstractAction | None = None
+    # Mask applied to the intent distribution before sampling (None when no
+    # masking happened); needed to reconstruct log-probabilities.
+    mask: np.ndarray | None = None
     # The policy's input features for the state; None without a policy.
-    features: np.ndarray | None
+    features: np.ndarray | None = None
 
 
 def _policy_sample(
     params: PolicyParams,
     state: EnvState,
     spec: GridSpec,
-    rng: np.random.Generator,
+    env_cfg: EnvConfig,
     mask: np.ndarray | None = None,
 ) -> tuple[AbstractAction, np.ndarray]:
-    """Sampled intent and the feature vector it was sampled from."""
-    x = extract_features(state, spec)
+    """Intent sampled from the state's stream, and its feature vector."""
+    x = extract_features(state, spec, env_cfg)
     dist = action_distribution(policy_logits(params, x))
     if mask is not None:
         dist = dist * mask
         dist = dist / dist.sum()
-    return sample_abstract(dist, rng), x
+    return sample_abstract(dist, state.rng), x
 
 
 def act(
@@ -270,10 +271,10 @@ def act(
     state: EnvState,
     spec: GridSpec,
     shield_cfg: ShieldConfig,
-    rng: np.random.Generator,
-    env_cfg: EnvConfig = EnvConfig(),
+    env_cfg: EnvConfig,
 ) -> ActResult:
-    """Fixed inference-time loop for one decision.
+    """Fixed inference-time pathway for one decision; random draws come from
+    the state's stream.
 
     Flat / hierarchy-only run unshielded; shield-only vetoes a uniformly
     random feasible concrete action; hierarchy+shield projects; hierarchy+CBF
@@ -285,21 +286,15 @@ def act(
 
     if variant is AgentVariant.SHIELD_ONLY:
         actions = env.enumerate_actions(spec, env_cfg)
-        mask = env.feasible_actions(state, spec, env_cfg)
-        feasible = [a for a, ok in zip(actions, mask) if ok]
-        proposed = feasible[int(rng.integers(len(feasible)))]
-        return ActResult(
-            decision=shield_mod.project(state, proposed, spec, shield_cfg),
-            abstract=None,
-            mask=None,
-            features=None,
-        )
+        feasible = [a for a in actions if env.action_feasible(state, a, spec)]
+        proposed = feasible[int(state.rng.integers(len(feasible)))]
+        return ActResult(shield_mod.project(state, proposed, spec, shield_cfg))
 
     if variant is AgentVariant.HIERARCHY_CBF:
         ranked = ranked_lines(state)
-        grounded = [ground_action(a, state, spec, env_cfg, ranked) for a in AbstractAction]
+        grounded = [ground_action(a, state, spec, ranked) for a in AbstractAction]
         mask = shield_mod.cbf_mask(state, grounded, spec, shield_cfg)
-        abstract, x = _policy_sample(params, state, spec, rng, mask=mask)
+        abstract, x = _policy_sample(params, state, spec, env_cfg, mask=mask)
         executed = grounded[int(abstract)]
         pred = shield_mod.predict(state, executed, spec)
         admissible = pred.feasible and pred.max_rho <= shield_cfg.rho_max
@@ -314,17 +309,41 @@ def act(
         )
         return ActResult(decision=decision, abstract=abstract, mask=mask, features=x)
 
-    abstract, x = _policy_sample(params, state, spec, rng)
+    abstract, x = _policy_sample(params, state, spec, env_cfg)
     if variant is AgentVariant.FLAT:
-        proposed = ground_action_direct(abstract, state, spec, env_cfg)
+        proposed = ground_action_direct(abstract, state, spec)
         decision = shield_mod.identity_decision(state, proposed, spec)
     elif variant is AgentVariant.HIERARCHY_ONLY:
-        proposed = ground_action(abstract, state, spec, env_cfg)
+        proposed = ground_action(abstract, state, spec)
         decision = shield_mod.identity_decision(state, proposed, spec)
     else:  # HIERARCHY_SHIELD
-        proposed = ground_action(abstract, state, spec, env_cfg)
+        proposed = ground_action(abstract, state, spec)
         decision = shield_mod.project(state, proposed, spec, shield_cfg)
-    return ActResult(decision=decision, abstract=abstract, mask=None, features=x)
+    return ActResult(decision=decision, abstract=abstract, features=x)
+
+
+def episode(
+    variant: AgentVariant,
+    params: PolicyParams | None,
+    spec: GridSpec,
+    env_cfg: EnvConfig,
+    shield_cfg: ShieldConfig,
+    seed: int,
+) -> Iterator[tuple[EnvState, ActResult, StepOutcome]]:
+    """The one episode loop of training, evaluation and audits: reset, then
+    act -> step until termination.  Yields (state acted on, act's result,
+    step's outcome) per step, the reset state first and a terminated outcome
+    last.  A learned variant without params raises ValueError."""
+    if variant is not AgentVariant.SHIELD_ONLY and params is None:
+        raise ValueError(f"variant {variant.value} requires trained policy params")
+    state = env.reset(spec, env_cfg, seed)
+    while True:
+        res = act(variant, params, state, spec, shield_cfg, env_cfg)
+        outcome = env.step(state, res.decision.executed, spec, env_cfg)
+        yield state, res, outcome
+        if outcome.terminated:
+            return
+        state = outcome.next_state
 
 
 def discounted_return(rewards, gamma: float) -> float:

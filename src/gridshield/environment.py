@@ -75,12 +75,6 @@ def redispatch(gen: int, delta: float) -> Action:
 
 
 @dataclass(frozen=True)
-class Disturbance:
-    load_multipliers: np.ndarray
-    forced_outages: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class EnvConfig:
     horizon: int = 200
     load_noise_sigma: float = 0.02
@@ -106,7 +100,6 @@ class EnvState:
     """
 
     t: int
-    horizon: int
     line_status: np.ndarray
     cooldowns: np.ndarray
     out_steps: np.ndarray
@@ -158,7 +151,6 @@ def reset(spec: GridSpec, config: EnvConfig, seed: int) -> EnvState:
     solution = solve_state(spec, setpoints, demands, status)
     return EnvState(
         t=0,
-        horizon=config.horizon,
         line_status=status,
         cooldowns=np.zeros(spec.n_lines, dtype=np.intp),
         out_steps=np.zeros(spec.n_lines, dtype=np.intp),
@@ -199,17 +191,10 @@ def action_feasible(state: EnvState, action: Action, spec: GridSpec) -> bool:
     )
 
 
-def feasible_actions(state: EnvState, spec: GridSpec, config: EnvConfig) -> np.ndarray:
-    """Boolean mask aligned with enumerate_actions(spec, config)."""
-    return np.array(
-        [action_feasible(state, a, spec) for a in enumerate_actions(spec, config)],
-        dtype=bool,
-    )
-
-
-def sample_disturbance(state: EnvState, config: EnvConfig) -> Disturbance:
+def sample_disturbance(state: EnvState, config: EnvConfig) -> tuple[np.ndarray, tuple[int, ...]]:
     """Draw load multipliers and, in stress mode at the configured step,
-    force an outage of the currently highest-loaded in-service line."""
+    force an outage of the currently highest-loaded in-service line.
+    Returns (multipliers, forced outages)."""
     n_loads = state.load_demands.shape[0]
     mult = 1.0 + config.load_noise_sigma * state.rng.standard_normal(n_loads)
     mult = np.minimum(np.maximum(mult, MULTIPLIER_LO), MULTIPLIER_HI)
@@ -218,7 +203,7 @@ def sample_disturbance(state: EnvState, config: EnvConfig) -> Disturbance:
         rho = np.where(state.line_status, state.last_solution.rho, -1.0)
         if rho.max() >= 0:
             forced = (int(np.argmax(rho)),)
-    return Disturbance(load_multipliers=mult, forced_outages=forced)
+    return mult, forced
 
 
 def apply_action(
@@ -260,9 +245,9 @@ def step(state: EnvState, action: Action, spec: GridSpec, config: EnvConfig) -> 
     setpoints = state.gen_setpoints.copy()
     apply_action(status, cooldowns, setpoints, action, config)
 
-    disturbance = sample_disturbance(state, config)
-    demands = c.base_demand * disturbance.load_multipliers
-    for ell in disturbance.forced_outages:
+    multipliers, forced = sample_disturbance(state, config)
+    demands = c.base_demand * multipliers
+    for ell in forced:
         if status[ell]:
             status[ell] = False
             cooldowns[ell] = config.reconnection_cooldown
@@ -273,7 +258,6 @@ def step(state: EnvState, action: Action, spec: GridSpec, config: EnvConfig) -> 
 
     next_state = EnvState(
         t=state.t + 1,
-        horizon=state.horizon,
         line_status=status,
         cooldowns=cooldowns,
         out_steps=out_steps,

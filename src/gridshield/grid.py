@@ -208,10 +208,18 @@ def validate_spec(spec: GridSpec) -> list[str]:
         violations.append("slack_bus is not a declared bus")
     elif not any(g.bus == spec.slack_bus for g in spec.generators):
         violations.append("slack_bus hosts no generator")
-    if spec.buses and spec.slack_bus in declared:
-        all_in = np.ones(spec.n_lines, dtype=bool)
-        if len(connected_components(spec, all_in)) > 1:
-            violations.append("grid graph is disconnected (over all lines)")
+    if violations:
+        # the graph checks below index every bus a line, generator or load names
+        return violations
+    all_in = np.ones(spec.n_lines, dtype=bool)
+    if len(connected_components(spec, all_in)) > 1:
+        violations.append("grid graph is disconnected (over all lines)")
+    else:
+        # every episode starts on the intact grid, so it must factor
+        try:
+            _topology(spec, all_in.tobytes())
+        except SingularSystemError:
+            violations.append(f"singular: a pivot below {SINGULAR_PIVOT_TOL:g} with all lines in")
     return violations
 
 
@@ -404,17 +412,12 @@ def outage_peaks(spec: GridSpec, status: bytes, setpoints: bytes) -> np.ndarray:
     return peaks
 
 
-def max_loading(rho: np.ndarray) -> float:
-    """Peak loading ratio across all lines."""
-    rho = np.asarray(rho, dtype=float)
-    if rho.size == 0:
-        raise ValueError("max_loading of an empty rho vector")
-    return float(rho.max())
-
-
 def safety_margin(rho: np.ndarray) -> float:
     """Instantaneous distance to the nearest thermal violation, 1 - max rho.
 
     Negative when some line is overloaded.
     """
-    return 1.0 - max_loading(rho)
+    rho = np.asarray(rho, dtype=float)
+    if rho.size == 0:
+        raise ValueError("safety_margin of an empty rho vector")
+    return 1.0 - float(rho.max())

@@ -13,14 +13,15 @@ import dataclasses
 import hashlib
 import json
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import __version__
 from . import agent as agent_mod
-from . import environment as env
 from . import grid as grid_mod
 from . import training
 from .agent import AgentVariant, PolicyParams, VARIANT_SHIELD_MODE
@@ -104,35 +105,20 @@ class PolicyCorruptError(ValueError):
 # ---------------------------------------------------------------------------
 # Grid spec files (JSON: key/value with nested arrays)
 
+# The component tables of a grid file, each a list of one dataclass's
+# fields; a field's key is its name, but for a line's two ends.
+_GRID_TABLES = (("lines", LineSpec), ("generators", GenSpec), ("loads", LoadSpec))
+_GRID_KEYS = {"from_bus": "from", "to_bus": "to"}
+
+
 def grid_spec_to_dict(spec: GridSpec) -> dict:
-    return {
-        "buses": list(spec.buses),
-        "slack_bus": spec.slack_bus,
-        "lines": [
-            {
-                "id": l.id,
-                "from": l.from_bus,
-                "to": l.to_bus,
-                "susceptance": l.susceptance,
-                "thermal_limit": l.thermal_limit,
-            }
-            for l in spec.lines
-        ],
-        "generators": [
-            {
-                "id": g.id,
-                "bus": g.bus,
-                "p_min": g.p_min,
-                "p_max": g.p_max,
-                "ramp_limit": g.ramp_limit,
-            }
-            for g in spec.generators
-        ],
-        "loads": [
-            {"id": d.id, "bus": d.bus, "base_demand": d.base_demand}
-            for d in spec.loads
-        ],
-    }
+    doc = {"buses": list(spec.buses), "slack_bus": spec.slack_bus}
+    for table, cls in _GRID_TABLES:
+        doc[table] = [
+            {_GRID_KEYS.get(f.name, f.name): getattr(item, f.name) for f in dataclasses.fields(cls)}
+            for item in getattr(spec, table)
+        ]
+    return doc
 
 
 def save_grid_spec(spec: GridSpec, path: str | Path) -> None:
@@ -151,41 +137,26 @@ def load_grid_spec(path: str | Path) -> GridSpec:
             raise GridFileError(f"{path}: {where}: missing field {key!r}")
         return obj[key]
 
+    def parse(item: dict, cls, where: str):
+        return cls(**{
+            name: kind(need(item, _GRID_KEYS.get(name, name), where))
+            for name, kind in get_type_hints(cls).items()
+        })
+
     try:
         buses = tuple(int(b) for b in need(doc, "buses", "top level"))
         slack = int(need(doc, "slack_bus", "top level"))
-        lines = tuple(
-            LineSpec(
-                id=int(need(l, "id", f"lines[{i}]")),
-                from_bus=int(need(l, "from", f"lines[{i}]")),
-                to_bus=int(need(l, "to", f"lines[{i}]")),
-                susceptance=float(need(l, "susceptance", f"lines[{i}]")),
-                thermal_limit=float(need(l, "thermal_limit", f"lines[{i}]")),
+        tables = {
+            table: tuple(
+                parse(item, cls, f"{table}[{i}]")
+                for i, item in enumerate(need(doc, table, "top level"))
             )
-            for i, l in enumerate(need(doc, "lines", "top level"))
-        )
-        gens = tuple(
-            GenSpec(
-                id=int(need(g, "id", f"generators[{i}]")),
-                bus=int(need(g, "bus", f"generators[{i}]")),
-                p_min=float(need(g, "p_min", f"generators[{i}]")),
-                p_max=float(need(g, "p_max", f"generators[{i}]")),
-                ramp_limit=float(need(g, "ramp_limit", f"generators[{i}]")),
-            )
-            for i, g in enumerate(need(doc, "generators", "top level"))
-        )
-        loads = tuple(
-            LoadSpec(
-                id=int(need(d, "id", f"loads[{i}]")),
-                bus=int(need(d, "bus", f"loads[{i}]")),
-                base_demand=float(need(d, "base_demand", f"loads[{i}]")),
-            )
-            for i, d in enumerate(need(doc, "loads", "top level"))
-        )
+            for table, cls in _GRID_TABLES
+        }
     except (TypeError, ValueError) as e:
         raise GridFileError(f"{path}: bad field value: {e}") from e
 
-    spec = GridSpec(buses=buses, lines=lines, generators=gens, loads=loads, slack_bus=slack)
+    spec = GridSpec(buses=buses, slack_bus=slack, **tables)
     violations = grid_mod.validate_spec(spec)
     if violations:
         raise GridFileError(f"{path}: invalid grid: " + "; ".join(violations))
@@ -282,10 +253,9 @@ class EpisodeRecord:
     trace: list[StepTrace] | None = None
 
     def to_json_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        del out["trace"]
-        if self.trace is not None:
-            out["trace"] = [dataclasses.asdict(s) for s in self.trace]
+        out = dataclasses.asdict(self)
+        if self.trace is None:
+            del out["trace"]
         return out
 
 
@@ -299,19 +269,18 @@ def run_episode(
     grid_name: str = "",
     retain_trace: bool = True,
 ) -> EpisodeRecord:
-    """reset -> (act -> step)* until termination; no parameter updates."""
-    if variant is not AgentVariant.SHIELD_ONLY and params is None:
-        raise ValueError(f"variant {variant.value} requires trained policy params")
-    state = env.reset(spec, env_cfg, seed)
+    """Summary of one agent.episode: totals, peaks and margins over its
+    steps (the reset state's peak counts toward max_rho); no parameter
+    updates."""
     total_reward = 0.0
-    max_rho = float(state.last_solution.rho.max())
+    max_rho = None
     margins = []
     vetoes = 0
     last_resort = 0
     trace: list[StepTrace] | None = [] if retain_trace else None
-    while True:
-        res = agent_mod.act(variant, params, state, spec, shield_cfg, state.rng, env_cfg)
-        outcome = env.step(state, res.decision.executed, spec, env_cfg)
+    for state, res, outcome in agent_mod.episode(variant, params, spec, env_cfg, shield_cfg, seed):
+        if max_rho is None:
+            max_rho = float(state.last_solution.rho.max())
         step_max = float(outcome.rho.max())
         margin = 1.0 - step_max
         total_reward += outcome.reward
@@ -331,22 +300,18 @@ def run_episode(
                     last_resort=res.decision.last_resort,
                 )
             )
-        state = outcome.next_state
-        if outcome.terminated:
-            failure = outcome.failure
-            break
     return EpisodeRecord(
         seed=seed,
         variant=variant.value,
         grid=grid_name,
-        steps=state.t,
+        steps=outcome.next_state.t,
         reward=total_reward,
         max_rho=max_rho,
         mean_margin=float(np.mean(margins)),
         min_margin=float(np.min(margins)),
         vetoes=vetoes,
         last_resort_count=last_resort,
-        failure=failure.value,
+        failure=outcome.failure.value,
         trace=trace,
     )
 
@@ -423,31 +388,18 @@ def train_params_for(
 
 
 def _aggregate(label: str, variant: AgentVariant, records: list[EpisodeRecord]) -> VariantStats:
-    def stats(vals):
-        arr = np.array(vals, dtype=float)
-        return float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-
-    failures: dict[str, int] = {}
-    for r in records:
-        failures[r.failure] = failures.get(r.failure, 0) + 1
-    ms, ss = stats([r.steps for r in records])
-    mr, sr = stats([r.reward for r in records])
-    mx, sx = stats([r.max_rho for r in records])
-    mv, sv = stats([r.vetoes for r in records])
+    moments = {}
+    for name in ("steps", "reward", "max_rho", "vetoes"):
+        arr = np.array([getattr(r, name) for r in records], dtype=float)
+        moments[f"mean_{name}"] = float(arr.mean())
+        moments[f"std_{name}"] = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     return VariantStats(
         label=label,
         variant=variant.value,
         episodes=len(records),
-        mean_steps=ms,
-        std_steps=ss,
-        mean_reward=mr,
-        std_reward=sr,
-        mean_max_rho=mx,
-        std_max_rho=sx,
-        mean_vetoes=mv,
-        std_vetoes=sv,
+        **moments,
         mean_last_resort=float(np.mean([r.last_resort_count for r in records])),
-        failures=failures,
+        failures=dict(Counter(r.failure for r in records)),
     )
 
 

@@ -182,20 +182,6 @@ def lowest_peak(state: EnvState, spec: GridSpec, positions: np.ndarray) -> int |
     return int(min(near, key=lambda i: (predict(state, candidates[i], spec).max_rho, i)))
 
 
-def is_admissible(
-    state: EnvState, action: Action, spec: GridSpec, cfg: ShieldConfig
-) -> bool:
-    return bool(_admissible(state, [action], spec, cfg.rho_max)[0])
-
-
-def admissible_set(
-    state: EnvState, candidates: list[Action] | tuple[Action, ...], spec: GridSpec, cfg: ShieldConfig
-) -> list[Action]:
-    """Order-preserving sublist of candidates passing is_admissible."""
-    ok = _admissible(state, candidates, spec, cfg.rho_max)
-    return [a for a, m in zip(candidates, ok) if m]
-
-
 def l0_distance(a: Action, b: Action) -> int:
     """Number of control components (line statuses, generator setpoints) in
     which two actions differ: 0 for equal actions, 1 when exactly one is

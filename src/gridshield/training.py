@@ -169,21 +169,13 @@ def rollout(
     shield_cfg: ShieldConfig,
     seed: int,
 ) -> Trajectory:
-    """One episode collecting (features, intent, reward) per step."""
-    state = env.reset(spec, env_cfg, seed)
+    """One agent.episode, collecting (features, intent, reward, mask) per step."""
     feats, acts, rews, masks = [], [], [], []
-    while True:
-        res = agent_mod.act(variant, params, state, spec, shield_cfg, state.rng, env_cfg)
-        outcome = env.step(state, res.decision.executed, spec, env_cfg)
+    for _, res, outcome in agent_mod.episode(variant, params, spec, env_cfg, shield_cfg, seed):
         feats.append(res.features)
         acts.append(int(res.abstract))
         rews.append(outcome.reward)
-        masks.append(
-            res.mask.copy() if res.mask is not None else np.ones(agent_mod.N_ABSTRACT, bool)
-        )
-        state = outcome.next_state
-        if outcome.terminated:
-            break
+        masks.append(res.mask if res.mask is not None else np.ones(agent_mod.N_ABSTRACT, bool))
     return Trajectory(
         features=np.array(feats),
         actions=np.array(acts, dtype=np.intp),

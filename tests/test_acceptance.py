@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from gridshield import agent as agent_mod
-from gridshield import environment as env
 from gridshield import harness, shield, training
 from gridshield.agent import (
     AgentVariant,
@@ -70,21 +69,13 @@ def flat_train():
 
 
 def _run_shielded_stress_episode(spec, params, seed, env_cfg, shield_cfg):
-    """Replay loop exposing every shield decision for auditing."""
-    state = env.reset(spec, env_cfg, seed)
-    decisions = []
-    states = []
-    while True:
-        states.append(state)
-        res = agent_mod.act(
-            AgentVariant.HIERARCHY_SHIELD, params, state, spec, shield_cfg, state.rng, env_cfg
+    """Every (state, shield decision) of one episode, for auditing."""
+    return [
+        (state, res.decision)
+        for state, res, _ in agent_mod.episode(
+            AgentVariant.HIERARCHY_SHIELD, params, spec, env_cfg, shield_cfg, seed
         )
-        decisions.append((state, res.decision))
-        outcome = env.step(state, res.decision.executed, spec, env_cfg)
-        state = outcome.next_state
-        if outcome.terminated:
-            break
-    return decisions
+    ]
 
 
 @pytest.fixture(scope="session")

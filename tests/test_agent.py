@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -33,7 +35,7 @@ class TestFeatures:
             slack_bus=0,
         )
         state = reset(spec, EnvConfig(), seed=0)
-        x = extract_features(state, spec)
+        x = extract_features(state, spec, EnvConfig())
         demand_ratio = 0.0
         expected = np.array([0, 0, 0, 0, 0, 0, 0, 1.0, 0, demand_ratio, 1.0])
         assert np.allclose(x, expected)
@@ -43,7 +45,7 @@ class TestFeatures:
         # fabricate a known rho profile on the stored solution
         sol = state.last_solution
         object.__setattr__(sol, "rho", np.array([0.5, 0.2, 0.9]))
-        x = extract_features(state, triangle)
+        x = extract_features(state, triangle, EnvConfig())
         assert np.allclose(x[:5], [0.9, 0.5, 0.2, 0.0, 0.0])
 
     def test_size_invariance_via_duplicated_lines(self):
@@ -61,14 +63,14 @@ class TestFeatures:
 
         cfg = EnvConfig(load_noise_sigma=0.0)
         base, doubled = parallel(6), parallel(12)
-        xa = extract_features(reset(base, cfg, seed=0), base)
-        xb = extract_features(reset(doubled, cfg, seed=0), doubled)
+        xa = extract_features(reset(base, cfg, seed=0), base, cfg)
+        xb = extract_features(reset(doubled, cfg, seed=0), doubled, cfg)
         assert np.allclose(xa, xb)
 
     def test_fixed_length_across_builtin_grids(self, toy5, train14, large36):
         for spec in (toy5, train14, large36):
             state = reset(spec, EnvConfig(), seed=0)
-            assert extract_features(state, spec).shape == (FEATURE_DIM,)
+            assert extract_features(state, spec, EnvConfig()).shape == (FEATURE_DIM,)
 
     @pytest.mark.parametrize("name", ["toy5", "train14", "large36"])
     def test_equals_mean_formulation_bit_for_bit(self, name, request):
@@ -86,8 +88,8 @@ class TestFeatures:
             want[7] = 1.0 - rho.max()
             want[8] = 1.0 - state.line_status.mean()
             want[9] = state.load_demands.sum() / grid.compiled(spec).p_max.sum()
-            want[10] = 1.0 - state.t / state.horizon
-            got = extract_features(state, spec)
+            want[10] = 1.0 - state.t / cfg.horizon
+            got = extract_features(state, spec, cfg)
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
             # random disconnects and reconnects vary the service fraction
             action = env.enumerate_actions(spec, cfg)[int(rng.integers(1 + 2 * spec.n_lines))]
@@ -223,13 +225,13 @@ class TestSampling:
 class TestGrounding:
     def test_hold_is_noop(self, train14):
         state = reset(train14, EnvConfig(), seed=0)
-        assert ground_action(AbstractAction.HOLD, state, train14, EnvConfig()) == NOOP
+        assert ground_action(AbstractAction.HOLD, state, train14) == NOOP
 
     def test_relieve_rank1_matches_exhaustive_predict(self, train14):
         # unique flow-reducing disconnect in the top line's neighborhood
         cfg = EnvConfig(load_noise_sigma=0.0)
         state = reset(train14, cfg, seed=0)
-        action = ground_action(AbstractAction.RELIEVE_RANK1, state, train14, cfg)
+        action = ground_action(AbstractAction.RELIEVE_RANK1, state, train14)
         ranked = agent.ranked_lines(state)
         target = ranked[0]
         best = None
@@ -242,7 +244,7 @@ class TestGrounding:
 
     def test_restore_all_in_service_noop(self, train14):
         state = reset(train14, EnvConfig(), seed=0)
-        assert ground_action(AbstractAction.RESTORE_LINE, state, train14, EnvConfig()) == NOOP
+        assert ground_action(AbstractAction.RESTORE_LINE, state, train14) == NOOP
 
     def test_restore_reconnects_longest_out(self, toy5):
         cfg = EnvConfig(load_noise_sigma=0.0, reconnection_cooldown=1)
@@ -250,21 +252,21 @@ class TestGrounding:
         state = step(state, disconnect(1), toy5, cfg).next_state
         state = step(state, disconnect(2), toy5, cfg).next_state
         state = step(state, NOOP, toy5, cfg).next_state
-        action = ground_action(AbstractAction.RESTORE_LINE, state, toy5, cfg)
+        action = ground_action(AbstractAction.RESTORE_LINE, state, toy5)
         assert action == env.reconnect(1)  # out the longest
 
     def test_relieve_falls_back_when_all_candidates_island(self, two_bus):
         cfg = EnvConfig(load_noise_sigma=0.0)
         state = reset(two_bus, cfg, seed=0)
-        action = ground_action(AbstractAction.RELIEVE_RANK1, state, two_bus, cfg)
+        action = ground_action(AbstractAction.RELIEVE_RANK1, state, two_bus)
         assert action == NOOP  # cutting the only line strands the load
 
     def test_direct_grounding_targets_ranked_line(self, train14):
         cfg = EnvConfig(load_noise_sigma=0.0)
         state = reset(train14, cfg, seed=0)
         ranked = agent.ranked_lines(state)
-        a1 = ground_action_direct(AbstractAction.RELIEVE_RANK1, state, train14, cfg)
-        a3 = ground_action_direct(AbstractAction.RELIEVE_RANK3, state, train14, cfg)
+        a1 = ground_action_direct(AbstractAction.RELIEVE_RANK1, state, train14)
+        a3 = ground_action_direct(AbstractAction.RELIEVE_RANK3, state, train14)
         assert a1 == disconnect(ranked[0])
         assert a3 == disconnect(ranked[2])
 
@@ -273,44 +275,28 @@ class TestAct:
     def test_flat_never_vetoes(self, train14):
         params = init_policy_params(0)
         cfg = ShieldConfig(mode=ShieldMode.OFF)
-        state = reset(train14, EnvConfig(), seed=1)
-        for _ in range(15):
-            res = act(AgentVariant.FLAT, params, state, train14, cfg, state.rng)
+        steps = agent.episode(AgentVariant.FLAT, params, train14, EnvConfig(), cfg, 1)
+        for _, res, _ in itertools.islice(steps, 15):
             assert not res.decision.vetoed
-            out = step(state, res.decision.executed, train14, EnvConfig())
-            state = out.next_state
-            if out.terminated:
-                break
 
     def test_hierarchy_cbf_zero_vetoes_over_episode(self, train14):
         params = init_policy_params(0)
         cfg = ShieldConfig(mode=ShieldMode.CBF_MASK)
         env_cfg = EnvConfig(stress_mode=True)
-        state = reset(train14, env_cfg, seed=2)
-        vetoes = 0
-        while True:
-            res = act(AgentVariant.HIERARCHY_CBF, params, state, train14, cfg, state.rng, env_cfg)
-            vetoes += int(res.decision.vetoed)
-            out = step(state, res.decision.executed, train14, env_cfg)
-            state = out.next_state
-            if out.terminated:
-                break
+        steps = agent.episode(AgentVariant.HIERARCHY_CBF, params, train14, env_cfg, cfg, 2)
+        vetoes = sum(int(res.decision.vetoed) for _, res, _ in steps)
         assert vetoes == 0
 
     def test_shield_only_vetoed_proposal_becomes_noop(self, toy5):
         cfg = ShieldConfig(mode=ShieldMode.VETO)
         env_cfg = EnvConfig(load_noise_sigma=0.0)
-        state = reset(toy5, env_cfg, seed=0)
         saw_veto = False
-        for _ in range(60):
-            res = act(AgentVariant.SHIELD_ONLY, None, state, toy5, cfg, state.rng, env_cfg)
+        # an episode that ends early would only replay from the same seed
+        steps = agent.episode(AgentVariant.SHIELD_ONLY, None, toy5, env_cfg, cfg, 0)
+        for _, res, _ in itertools.islice(steps, 60):
             if res.decision.vetoed and not res.decision.corrected:
                 assert res.decision.executed == NOOP
                 saw_veto = True
-            out = step(state, res.decision.executed, toy5, env_cfg)
-            state = out.next_state
-            if out.terminated:
-                state = reset(toy5, env_cfg, seed=0)
         assert saw_veto  # toy5 has an islanding action, random walk finds it
 
     def test_variant_mode_mismatch_rejected(self, train14):
@@ -318,23 +304,19 @@ class TestAct:
         state = reset(train14, EnvConfig(), seed=0)
         with pytest.raises(ValueError):
             act(AgentVariant.FLAT, params, state, train14,
-                ShieldConfig(mode=ShieldMode.VETO), state.rng)
+                ShieldConfig(mode=ShieldMode.VETO), EnvConfig())
 
     def test_replay_determinism(self, train14):
         params = init_policy_params(3)
         cfg = ShieldConfig(mode=ShieldMode.PROJECTION)
         labels = []
         for _ in range(2):
-            state = reset(train14, EnvConfig(), seed=17)
-            seq = []
-            for _ in range(25):
-                res = act(AgentVariant.HIERARCHY_SHIELD, params, state, train14, cfg, state.rng)
-                seq.append(res.decision.executed.label())
-                out = step(state, res.decision.executed, train14, EnvConfig())
-                state = out.next_state
-                if out.terminated:
-                    break
-            labels.append(seq)
+            steps = agent.episode(
+                AgentVariant.HIERARCHY_SHIELD, params, train14, EnvConfig(), cfg, 17
+            )
+            labels.append(
+                [res.decision.executed.label() for _, res, _ in itertools.islice(steps, 25)]
+            )
         assert labels[0] == labels[1]
 
 

@@ -13,7 +13,6 @@ from gridshield.grid import (
     LineSpec,
     LoadSpec,
     connected_components,
-    max_loading,
     safety_margin,
     solve_dc_power_flow,
     validate_spec,
@@ -22,6 +21,17 @@ from gridshield.grid import (
 from gridshield.grids import builtin_grid
 
 from conftest import random_connected_spec
+
+
+def singular_chain() -> GridSpec:
+    """A 3-bus chain whose second line is 1e-13 as strong as its first."""
+    return GridSpec(
+        buses=(0, 1, 2),
+        lines=(LineSpec(0, 0, 1, 1.0, 1.0), LineSpec(1, 1, 2, 1e-13, 1.0)),
+        generators=(GenSpec(0, 0, 0.0, 2.0, 0.5),),
+        loads=(LoadSpec(0, 2, 0.5),),
+        slack_bus=0,
+    )
 
 
 class TestValidateSpec:
@@ -55,6 +65,20 @@ class TestValidateSpec:
             frontier = [b for b in adj if b in seen and any(n not in seen for n in adj[b])]
         assert seen != set(spec.buses)
         assert any("disconnected" in v for v in validate_spec(spec))
+
+    def test_singular_intact_grid_flagged(self):
+        # every susceptance is positive and finite, but 1e-13 next to 1.0
+        # leaves a pivot below SINGULAR_PIVOT_TOL, so no episode could reset
+        spec = singular_chain()
+        assert validate_spec(spec) == ["singular: a pivot below 1e-12 with all lines in"]
+        with pytest.raises(grid.SingularSystemError):
+            env.reset(spec, EnvConfig(), 0)
+
+    def test_undeclared_bus_is_a_violation_not_a_crash(self, two_bus):
+        bad = dataclasses.replace(two_bus, lines=(LineSpec(0, 0, 7, 1.0, 1.0),))
+        assert validate_spec(bad) == ["line 0: endpoint not a declared bus"]
+        bad = dataclasses.replace(two_bus, loads=(LoadSpec(0, 7, 0.5),))
+        assert validate_spec(bad) == ["load 0: bus not declared"]
 
     def test_slack_without_generator(self, two_bus):
         bad = GridSpec(
@@ -245,13 +269,15 @@ class TestLoadingMetrics:
         assert sol.rho[0] == pytest.approx(1.21, abs=1e-12)
 
     def test_max_loading(self):
-        assert max_loading(np.array([0.2, 0.9, 0.4])) == 0.9
-        assert max_loading(np.zeros(3)) == 0.0
-        assert max_loading(np.array([0.3, 1.14, 0.2])) == pytest.approx(1.14)
+        # the margin reads the peak loading: 1 - max rho
+        assert safety_margin(np.array([0.2, 0.9, 0.4])) == 1.0 - 0.9
+        assert safety_margin(np.zeros(3)) == 1.0
+        assert safety_margin(np.array([0.3, 1.14, 0.2])) == pytest.approx(-0.14)
+        assert safety_margin([0.5, 0.7]) == 1.0 - 0.7  # any sequence of ratios
 
     def test_max_loading_empty_raises(self):
         with pytest.raises(ValueError):
-            max_loading(np.array([]))
+            safety_margin(np.array([]))
 
     def test_safety_margin_values(self):
         assert safety_margin(np.array([0.85])) == pytest.approx(0.15)
@@ -262,7 +288,7 @@ class TestLoadingMetrics:
     def test_margin_plus_max_is_one(self, rho):
         arr = np.array(rho)
         # identity holds at the representation level: m is literally 1 - max
-        assert safety_margin(arr) == 1.0 - max_loading(arr)
+        assert safety_margin(arr) == 1.0 - max(rho)
 
 
 class _UnionFind:

@@ -62,6 +62,20 @@ class TestBuiltinGrids:
         assert a == b
 
 
+# A 3-bus chain: positive, finite susceptances, but 1e-13 next to 1.0
+# leaves the intact grid's reduced susceptance matrix singular.
+SINGULAR_CHAIN = {
+    "buses": [0, 1, 2],
+    "slack_bus": 0,
+    "lines": [
+        {"id": 0, "from": 0, "to": 1, "susceptance": 1.0, "thermal_limit": 1.0},
+        {"id": 1, "from": 1, "to": 2, "susceptance": 1e-13, "thermal_limit": 1.0},
+    ],
+    "generators": [{"id": 0, "bus": 0, "p_min": 0.0, "p_max": 2.0, "ramp_limit": 0.5}],
+    "loads": [{"id": 0, "bus": 2, "base_demand": 0.5}],
+}
+
+
 class TestGridFiles:
     def test_round_trip(self, tmp_path, train14):
         p = tmp_path / "grid.json"
@@ -102,6 +116,20 @@ class TestGridFiles:
         p.write_text(json.dumps(doc))
         assert value in p.read_text()
         with pytest.raises(harness.GridFileError, match=field):
+            load_grid_spec(p)
+
+    def test_singular_grid_rejected(self, tmp_path):
+        p = tmp_path / "singular.json"
+        p.write_text(json.dumps(SINGULAR_CHAIN))
+        with pytest.raises(harness.GridFileError, match="invalid grid: singular"):
+            load_grid_spec(p)
+
+    def test_undeclared_bus_rejected(self, tmp_path, toy5):
+        doc = harness.grid_spec_to_dict(toy5)
+        doc["lines"][0]["to"] = 99
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(harness.GridFileError, match="endpoint not a declared bus"):
             load_grid_spec(p)
 
     def test_resolve_builtin_or_path(self, tmp_path, toy5):
@@ -339,6 +367,14 @@ class TestCli:
         p = tmp_path / "bad.json"
         p.write_text("{...")
         assert main(["validate-grid", "--grid", str(p)]) == 1
+
+    def test_validate_grid_singular_file(self, tmp_path, capsys):
+        from gridshield.cli import main
+
+        p = tmp_path / "singular.json"
+        p.write_text(json.dumps(SINGULAR_CHAIN))
+        assert main(["validate-grid", "--grid", str(p)]) == 1
+        assert "singular" in capsys.readouterr().err
 
     def test_eval_suite_writes_outputs(self, tmp_path):
         from gridshield.cli import main

@@ -14,10 +14,8 @@ from gridshield.grids import builtin_grid
 from gridshield.shield import (
     ShieldConfig,
     ShieldMode,
-    admissible_set,
     cbf_mask,
     default_candidates,
-    is_admissible,
     l0_distance,
     predict,
     project,
@@ -40,6 +38,18 @@ def parallel_spec(limits, demand=1.0):
         loads=(LoadSpec(0, 1, demand),),
         slack_bus=0,
     )
+
+
+def admissible_by_predict(state, action, spec, rho_max):
+    """The reference verdict: the exact zero-disturbance solve is feasible
+    and peaks at or below rho_max."""
+    pred = predict(state, action, spec)
+    return pred.feasible and pred.max_rho <= rho_max
+
+
+def shield_admissible(state, candidates, spec, rho_max):
+    """The shield's own verdicts, kernel screening included."""
+    return shield._admissible(state, candidates, spec, rho_max).tolist()
 
 
 @pytest.fixture
@@ -99,25 +109,27 @@ class TestAdmissibility:
             )
             state = reset(spec, EnvConfig(load_noise_sigma=0.0), seed=0)
             cfg = ShieldConfig(mode=ShieldMode.VETO, rho_max=0.98)
-            assert is_admissible(state, NOOP, spec, cfg) is admissible
+            assert admissible_by_predict(state, NOOP, spec, cfg.rho_max) is admissible
+            assert shield_admissible(state, [NOOP], spec, cfg.rho_max) == [admissible]
 
     def test_islanding_inadmissible_regardless_of_rho(self, toy5):
         state = reset(toy5, EnvConfig(), seed=0)
         cfg = ShieldConfig(mode=ShieldMode.VETO, rho_max=100.0)
-        assert not is_admissible(state, disconnect(5), toy5, cfg)
+        assert not admissible_by_predict(state, disconnect(5), toy5, cfg.rho_max)
+        assert shield_admissible(state, [disconnect(5)], toy5, cfg.rho_max) == [False]
 
     def test_admissible_set_preserves_order(self, train14, proj_cfg):
         state = reset(train14, EnvConfig(), seed=0)
         candidates = list(default_candidates(train14))
-        result = admissible_set(state, candidates, train14, proj_cfg)
-        positions = [candidates.index(a) for a in result]
-        assert positions == sorted(positions)
-        assert NOOP in result  # lightly loaded state
+        mask = shield_admissible(state, candidates, train14, proj_cfg.rho_max)
+        want = [admissible_by_predict(state, a, train14, proj_cfg.rho_max) for a in candidates]
+        assert mask == want
+        assert mask[0]  # NoOp, on a lightly loaded state
 
     def test_identity_when_all_admissible(self, train14, proj_cfg):
         state = reset(train14, EnvConfig(), seed=0)
-        candidates = [NOOP]
-        assert admissible_set(state, candidates, train14, proj_cfg) == [NOOP]
+        assert admissible_by_predict(state, NOOP, train14, proj_cfg.rho_max)
+        assert shield_admissible(state, [NOOP], train14, proj_cfg.rho_max) == [True]
 
 
 class TestL0Distance:
@@ -187,7 +199,8 @@ class TestProject:
         state = reset(train14, cfg, seed=0)
         state = step(state, NOOP, train14, cfg).next_state
         shield_cfg = ShieldConfig(mode=ShieldMode.PROJECTION, rho_max=0.98)
-        assert not is_admissible(state, NOOP, train14, shield_cfg)
+        assert not admissible_by_predict(state, NOOP, train14, shield_cfg.rho_max)
+        assert shield_admissible(state, [NOOP], train14, shield_cfg.rho_max) == [False]
         preds = {
             ell: predict(state, disconnect(ell), train14).max_rho
             for ell in range(train14.n_lines)
@@ -262,13 +275,13 @@ class TestCbfMask:
         mask = cbf_mask(state, [NOOP, disconnect(0)], spec, cfg)
         assert mask.tolist() == [True, False]
 
-    def test_mask_matches_is_admissible(self, train14):
+    def test_mask_matches_predict(self, train14):
         state = reset(train14, EnvConfig(), seed=0)
         cfg = ShieldConfig(mode=ShieldMode.CBF_MASK)
         candidates = list(default_candidates(train14))
         mask = cbf_mask(state, candidates, train14, cfg)
         for a, m in zip(candidates, mask):
-            assert m == is_admissible(state, a, train14, cfg)
+            assert m == admissible_by_predict(state, a, train14, cfg.rho_max)
 
 
 class TestIdentityDecision:
@@ -353,7 +366,7 @@ def _bits(decision):
 
 def _check_decisions(state, spec, rho_max, proposals):
     relieve = [AbstractAction(r) for r in (1, 2, 3)]
-    grounded = [ground_action(a, state, spec, EnvConfig()) for a in relieve]
+    grounded = [ground_action(a, state, spec) for a in relieve]
     for a, got in zip(relieve, grounded):
         assert got == _ref_ground(a, state, spec)
     cfg = ShieldConfig(mode=ShieldMode.PROJECTION, rho_max=rho_max)
@@ -485,5 +498,5 @@ class TestRelieveTable:
         )
         state = reset(spec, EnvConfig(), seed=0)
         np.testing.assert_array_equal(shield.relieve_table(state, spec), [-1, -1])
-        grounded = ground_action(AbstractAction.RELIEVE_RANK1, state, spec, EnvConfig())
+        grounded = ground_action(AbstractAction.RELIEVE_RANK1, state, spec)
         assert grounded == disconnect(0)

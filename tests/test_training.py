@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridshield import environment as env, shield, training
+from gridshield import agent, environment as env, harness, shield, training
 from gridshield.agent import (
     AgentVariant,
     PolicyParams,
@@ -306,7 +306,37 @@ class TestTrain:
         assert traj.features.shape[0] == traj.actions.shape[0] == traj.rewards.shape[0]
         assert traj.features.shape[0] <= 15
         first = env.reset(toy5, EnvConfig(horizon=15), 3)
-        np.testing.assert_array_equal(traj.features[0], extract_features(first, toy5))
+        np.testing.assert_array_equal(
+            traj.features[0], extract_features(first, toy5, EnvConfig(horizon=15))
+        )
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            AgentVariant.FLAT,
+            AgentVariant.HIERARCHY_ONLY,
+            AgentVariant.HIERARCHY_SHIELD,
+            AgentVariant.HIERARCHY_CBF,
+        ],
+    )
+    def test_training_and_evaluation_walk_the_same_episode(self, train14, variant):
+        # training's rollout and evaluation's run_episode both consume
+        # agent.episode, so one (params, seed) gives one episode
+        env_cfg = EnvConfig(stress_mode=True, horizon=30)
+        shield_cfg = harness.shield_config_for(variant, 0.98)
+        params = init_policy_params(7)
+        vetoes = 0
+        for seed in (4, 5, 6):
+            traj = rollout(train14, env_cfg, variant, params, shield_cfg, seed)
+            rec = harness.run_episode(train14, env_cfg, variant, params, shield_cfg, seed)
+            steps = list(agent.episode(variant, params, train14, env_cfg, shield_cfg, seed))
+            assert len(traj.rewards) == rec.steps == len(steps)
+            assert sum(traj.rewards.tolist()) == rec.reward
+            assert sum(int(res.decision.vetoed) for _, res, _ in steps) == rec.vetoes
+            assert [int(res.abstract) for _, res, _ in steps] == traj.actions.tolist()
+            vetoes += rec.vetoes
+        # the projection shield does veto on these episodes
+        assert vetoes > 0 or variant is not AgentVariant.HIERARCHY_SHIELD
 
 
 GOLDEN_TRAIN = Path(__file__).parent / "data" / "golden_train_train14.json"
