@@ -433,22 +433,34 @@ GOLDEN = Path(__file__).parent / "data"
 
 
 class TestGoldenRecords:
-    """Per-episode records of small stress and transfer runs, committed as
-    the CLI wrote them; any change to a solve, a prediction, a decision or
-    the training path that feeds them shows up as a byte difference."""
+    """Per-episode records of small stress, transfer, ablation and
+    cbf_compare runs, committed as the CLI wrote them; any change to a solve,
+    a prediction, a decision or the training path that feeds them shows up
+    as a byte difference.  Together they pin all five variants."""
+
+    # suite -> (command line before the shared flags, records' directory)
+    COMMANDS = {
+        "stress": (["stress"], "stress"),
+        "transfer": (["transfer"], "transfer"),
+        "ablation": (["ablate"], "ablation/stress"),
+        "cbf_compare": (["eval", "--suite", "cbf_compare", "--horizon", "60"], "cbf_compare"),
+    }
 
     @pytest.mark.parametrize(
         "suite, grid, golden",
         [
             ("stress", "train14", "golden_stress_train14.jsonl"),
             ("transfer", "large36", "golden_transfer_large36.jsonl"),
+            ("ablation", "train14", "golden_ablation_stress_train14.jsonl"),
+            ("cbf_compare", "large36", "golden_cbf_compare_large36.jsonl"),
         ],
     )
     def test_records_match_golden(self, tmp_path, suite, grid, golden):
         from gridshield.cli import main
 
-        argv = [suite, "--grid", grid, "--updates", "2", "--episodes-per-update", "2",
-                "--episodes", "3", "--out", str(tmp_path)]
+        command, records_dir = self.COMMANDS[suite]
+        argv = command + ["--grid", grid, "--updates", "2", "--episodes-per-update", "2",
+                          "--episodes", "3", "--out", str(tmp_path)]
         assert main(argv) == 0
-        written = (tmp_path / suite / "episodes.jsonl").read_bytes()
+        written = (tmp_path / records_dir / "episodes.jsonl").read_bytes()
         assert written == (GOLDEN / golden).read_bytes()
