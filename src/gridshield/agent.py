@@ -5,7 +5,8 @@ The policy consumes a fixed-length aggregate of the grid state (top-k
 loadings, margin, demand ratio, ...) and emits logits over five abstract
 intents.  A low-level executor grounds each intent to a concrete primitive
 on whatever grid is in front of it, which is what lets one parameter vector
-drive grids of different sizes.
+drive grids of different sizes.  The agent only proposes: shield.project
+decides what each decision executes.
 """
 
 from __future__ import annotations
@@ -112,16 +113,12 @@ def init_policy_params(
 ) -> PolicyParams:
     """Weights uniform in +-sqrt(6 / (fan_in + fan_out)), biases zero."""
     rng = np.random.default_rng(seed)
-    dims = (input_dim, hidden[0], hidden[1], n_actions)
-
-    def layer(fan_in: int, fan_out: int) -> tuple[np.ndarray, np.ndarray]:
+    dims = (input_dim, *hidden, n_actions)
+    layers = []
+    for fan_in, fan_out in zip(dims, dims[1:]):
         s = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-s, s, size=(fan_in, fan_out)), np.zeros(fan_out)
-
-    w1, b1 = layer(dims[0], dims[1])
-    w2, b2 = layer(dims[1], dims[2])
-    w3, b3 = layer(dims[2], dims[3])
-    return PolicyParams(w1, b1, w2, b2, w3, b3)
+        layers += [rng.uniform(-s, s, size=(fan_in, fan_out)), np.zeros(fan_out)]
+    return PolicyParams(*layers)
 
 
 def policy_logits(params: PolicyParams, x: np.ndarray) -> np.ndarray:
@@ -157,12 +154,6 @@ def ranked_lines(state: EnvState) -> np.ndarray:
     """In-service lines ordered by loading, heaviest first (ties by id)."""
     in_service = np.flatnonzero(state.line_status)
     return in_service[np.lexsort((in_service, -state.last_solution.rho[in_service]))]
-
-
-def _neighborhood(spec: GridSpec, target: int, state: EnvState) -> np.ndarray:
-    """In-service lines sharing a bus with the target line, target included,
-    in id order."""
-    return np.flatnonzero(compiled(spec).line_adjacency[target] & state.line_status)
 
 
 def _longest_out_reconnect(state: EnvState) -> Action:
@@ -203,7 +194,9 @@ def ground_action(
     target = ranked[rank - 1]
     best = int(shield_mod.relieve_table(state, spec)[target])
     if best < 0:
-        best = shield_mod.lowest_peak(state, spec, 1 + _neighborhood(spec, target, state)) or 0
+        # the in-service lines sharing a bus with the target, target included
+        hood = np.flatnonzero(compiled(spec).line_adjacency[target] & state.line_status)
+        best = shield_mod.lowest_peak(state, spec, 1 + hood) or 0
     # position 0 is NoOp
     return shield_mod.default_candidates(spec)[best]
 
@@ -273,53 +266,33 @@ def act(
     shield_cfg: ShieldConfig,
     env_cfg: EnvConfig,
 ) -> ActResult:
-    """Fixed inference-time pathway for one decision; random draws come from
-    the state's stream.
-
-    Flat / hierarchy-only run unshielded; shield-only vetoes a uniformly
-    random feasible concrete action; hierarchy+shield projects; hierarchy+CBF
-    masks the grounded intents before sampling so no veto can occur.
-    """
+    """One decision, random draws from the state's stream: the variant
+    proposes and shield.project decides.  Shield-only proposes a uniformly
+    random feasible action, flat grounds its intent directly and the
+    hierarchies through the executor; hierarchy+CBF samples only among the
+    grounded intents cbf_mask admits, so its shield never vetoes."""
     expected = VARIANT_SHIELD_MODE[variant]
     if shield_cfg.mode is not expected:
         raise ValueError(f"{variant.value} requires shield mode {expected.value}")
 
+    abstract = mask = x = None
     if variant is AgentVariant.SHIELD_ONLY:
         actions = env.enumerate_actions(spec, env_cfg)
         feasible = [a for a in actions if env.action_feasible(state, a, spec)]
         proposed = feasible[int(state.rng.integers(len(feasible)))]
-        return ActResult(shield_mod.project(state, proposed, spec, shield_cfg))
-
-    if variant is AgentVariant.HIERARCHY_CBF:
+    elif variant is AgentVariant.HIERARCHY_CBF:
         ranked = ranked_lines(state)
         grounded = [ground_action(a, state, spec, ranked) for a in AbstractAction]
         mask = shield_mod.cbf_mask(state, grounded, spec, shield_cfg)
         abstract, x = _policy_sample(params, state, spec, env_cfg, mask=mask)
-        executed = grounded[int(abstract)]
-        pred = shield_mod.predict(state, executed, spec)
-        admissible = pred.feasible and pred.max_rho <= shield_cfg.rho_max
-        decision = ShieldDecision(
-            executed=executed,
-            proposed=executed,
-            vetoed=False,
-            corrected=False,
-            predicted_rho_max=pred.max_rho,
-            l0_distance=0,
-            last_resort=not admissible,
-        )
-        return ActResult(decision=decision, abstract=abstract, mask=mask, features=x)
-
-    abstract, x = _policy_sample(params, state, spec, env_cfg)
-    if variant is AgentVariant.FLAT:
-        proposed = ground_action_direct(abstract, state, spec)
-        decision = shield_mod.identity_decision(state, proposed, spec)
-    elif variant is AgentVariant.HIERARCHY_ONLY:
-        proposed = ground_action(abstract, state, spec)
-        decision = shield_mod.identity_decision(state, proposed, spec)
-    else:  # HIERARCHY_SHIELD
-        proposed = ground_action(abstract, state, spec)
-        decision = shield_mod.project(state, proposed, spec, shield_cfg)
-    return ActResult(decision=decision, abstract=abstract, features=x)
+        proposed = grounded[abstract]
+    else:
+        abstract, x = _policy_sample(params, state, spec, env_cfg)
+        if variant is AgentVariant.FLAT:
+            proposed = ground_action_direct(abstract, state, spec)
+        else:
+            proposed = ground_action(abstract, state, spec)
+    return ActResult(shield_mod.project(state, proposed, spec, shield_cfg), abstract, mask, x)
 
 
 def episode(

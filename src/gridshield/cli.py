@@ -8,7 +8,7 @@ and validate-grid.  Output directory defaults to $GRIDSHIELD_OUT or ./runs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import math
 import os
 import sys
 from pathlib import Path
@@ -22,24 +22,36 @@ from .training import TrainConfig
 VARIANT_CHOICES = {v.value: v for v in AgentVariant}
 
 
-def _default_out() -> str:
-    return os.environ.get("GRIDSHIELD_OUT", "runs")
+def _at_least(kind: type, low: float):
+    """argparse type: a finite `kind` number no smaller than `low`."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return parse
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    count, nonnegative = _at_least(int, 1), _at_least(float, 0.0)
     p.add_argument("--grid", default="train14", help="builtin grid name or spec file path")
     p.add_argument("--variant", choices=sorted(VARIANT_CHOICES), default=None,
                    help="restrict the suite to a single variant")
-    p.add_argument("--rho-max", type=float, default=0.98, help="shield admissibility threshold")
+    p.add_argument("--rho-max", type=nonnegative, default=0.98,
+                   help="shield admissibility threshold")
     p.add_argument("--seed", type=int, default=0, help="base seed; episode i uses seed+i")
-    p.add_argument("--episodes", type=int, default=None, help="episode count override")
-    p.add_argument("--horizon", type=int, default=200)
-    p.add_argument("--sigma", type=float, default=0.02, help="load noise std")
+    p.add_argument("--episodes", type=count, default=None, help="episode count override")
+    p.add_argument("--horizon", type=count, default=200)
+    p.add_argument("--sigma", type=nonnegative, default=0.02, help="load noise std")
     p.add_argument("--stress-step", type=int, default=10)
-    p.add_argument("--updates", type=int, default=200, help="training updates")
-    p.add_argument("--episodes-per-update", type=int, default=4)
+    p.add_argument("--updates", type=count, default=200, help="training updates")
+    p.add_argument("--episodes-per-update", type=count, default=4)
     p.add_argument("--no-traces", action="store_true", help="drop per-step traces from records")
-    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--out", default=os.environ.get("GRIDSHIELD_OUT", "runs"),
+                   help="output directory (default $GRIDSHIELD_OUT, else ./runs)")
 
 
 def _run_config(args, stress: bool = False) -> RunConfig:
@@ -48,7 +60,6 @@ def _run_config(args, stress: bool = False) -> RunConfig:
         rho_max=args.rho_max,
         episodes=args.episodes,
         base_seed=args.seed,
-        out_dir=args.out or _default_out(),
         env=env.EnvConfig(
             horizon=args.horizon,
             load_noise_sigma=args.sigma,
@@ -81,7 +92,7 @@ def cmd_train(args) -> int:
     if result is None:
         print(f"variant {variant.value} has no trainable policy", file=sys.stderr)
         return 2
-    out = Path(args.out or _default_out())
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     policy_path = out / f"policy_{variant.value}.bin"
     harness.save_policy(result.params, policy_path)
@@ -129,16 +140,12 @@ def cmd_suite(args) -> int:
     for condition, stress in conditions:
         run_cfg = _run_config(args, stress=stress)
         report = run_suite(suite, run_cfg)
-        _emit(report, Path(run_cfg.out_dir) / suite / condition)
+        _emit(report, Path(args.out) / suite / condition)
     return 0
 
 
 def cmd_validate_grid(args) -> int:
-    try:
-        spec = harness.resolve_grid(args.grid)
-    except harness.GridFileError as e:
-        print(f"invalid: {e}", file=sys.stderr)
-        return 1
+    spec = harness.resolve_grid(args.grid)
     print(f"ok: {spec.n_buses} buses, {spec.n_lines} lines, "
           f"{spec.n_gens} generators, {spec.n_loads} loads")
     return 0
@@ -167,7 +174,11 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=cmd_validate_grid)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except harness.GridFileError as e:
+        print(f"invalid: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -179,9 +179,11 @@ def validate_spec(spec: GridSpec) -> list[str]:
     declared = set(spec.buses)
     if len(declared) != len(spec.buses):
         violations.append("duplicate bus ids")
-    line_ids = [l.id for l in spec.lines]
-    if len(set(line_ids)) != len(line_ids):
-        violations.append("duplicate line ids")
+    # an id is a position: the kernel, the candidates and Action.line/gen
+    # index arrays with it
+    for name, items in (("line", spec.lines), ("generator", spec.generators), ("load", spec.loads)):
+        if [item.id for item in items] != list(range(len(items))):
+            violations.append(f"{name} ids must be 0..{len(items) - 1} in order")
     for line in spec.lines:
         if line.from_bus not in declared or line.to_bus not in declared:
             violations.append(f"line {line.id}: endpoint not a declared bus")

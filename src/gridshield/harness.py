@@ -129,7 +129,9 @@ def load_grid_spec(path: str | Path) -> GridSpec:
     """Parse and validate a grid file; errors name the offending field."""
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
+    except OSError as e:
+        raise GridFileError(f"{path}: cannot read: {e.strerror or e}") from e
+    except ValueError as e:  # malformed JSON or undecodable bytes
         raise GridFileError(f"{path}: malformed document: {e}") from e
 
     def need(obj: dict, key: str, where: str):
@@ -153,6 +155,8 @@ def load_grid_spec(path: str | Path) -> GridSpec:
             )
             for table, cls in _GRID_TABLES
         }
+    except GridFileError:
+        raise
     except (TypeError, ValueError) as e:
         raise GridFileError(f"{path}: bad field value: {e}") from e
 
@@ -199,11 +203,8 @@ def load_policy(path: str | Path) -> PolicyParams:
             f"{path}: abstract action set size {n_abstract} does not match {agent_mod.N_ABSTRACT}"
         )
     dims = (d0, d1, d2, d3)
-    shapes = [
-        (dims[0], dims[1]), (dims[1],),
-        (dims[1], dims[2]), (dims[2],),
-        (dims[2], dims[3]), (dims[3],),
-    ]
+    # each layer's weights then biases, the order of PolicyParams' fields
+    shapes = [shape for a, b in zip(dims, dims[1:]) for shape in ((a, b), (b,))]
     expected = sum(int(np.prod(s)) for s in shapes) * 8
     data = blob[head_len:]
     if len(data) != expected:
@@ -325,7 +326,6 @@ class RunConfig:
     rho_max: float = 0.98
     episodes: int | None = None
     base_seed: int = 0
-    out_dir: str = "runs"
     env: EnvConfig = EnvConfig()
     train: TrainConfig = TrainConfig()
     variants: tuple[AgentVariant, ...] | None = None

@@ -1,5 +1,9 @@
 """Runtime safety layer.
 
+The agent proposes, the shield decides: `project` turns every proposal into
+the executed action in all four modes (Off and CBF mask pass it through;
+`cbf_mask` filters CBF's choices before sampling).
+
 Every candidate action is scored by a one-step forward simulation with the
 disturbance zeroed (multipliers at 1, no forced outages).  An action is
 admissible when the predicted topology stays feasible and the predicted peak
@@ -49,6 +53,11 @@ class ShieldMode(Enum):
 class ShieldConfig:
     mode: ShieldMode = ShieldMode.PROJECTION
     rho_max: float = 0.98
+
+    def __post_init__(self) -> None:
+        # a NaN threshold would make every action inadmissible
+        if not 0 <= self.rho_max < np.inf:
+            raise ValueError(f"rho_max must be finite and >= 0, got {self.rho_max}")
 
 
 def default_candidates(spec: GridSpec) -> tuple[Action, ...]:
@@ -196,16 +205,17 @@ def l0_distance(a: Action, b: Action) -> int:
 def project(
     state: EnvState, proposed: Action, spec: GridSpec, cfg: ShieldConfig
 ) -> ShieldDecision:
-    """Two-case execution: admissible proposals pass through untouched;
-    otherwise veto to NoOp (Veto mode) or substitute the admissible candidate
-    with minimal L0 distance, ties broken by lower predicted peak loading
-    then lower candidate index (Projection mode).  An empty admissible set
-    falls back to NoOp and is flagged as a last resort."""
-    if cfg.mode not in (ShieldMode.VETO, ShieldMode.PROJECTION):
-        raise ValueError(f"project requires Veto or Projection mode, got {cfg.mode}")
-
+    """The shield's decision on a proposal in any mode, and the only place
+    a ShieldDecision is built.  Admissible proposals pass through untouched,
+    and so does every proposal under Off and CBF mask (CBF mask flags an
+    inadmissible one as a last resort: its mask had nothing admissible
+    left).  Otherwise Veto executes NoOp and Projection substitutes the
+    admissible candidate with minimal L0 distance, ties broken by lower
+    predicted peak loading then lower candidate index.  An empty admissible
+    set falls back to NoOp and is flagged as a last resort."""
     prop_pred = predict(state, proposed, spec)
-    if prop_pred.feasible and prop_pred.max_rho <= cfg.rho_max:
+    admissible = prop_pred.feasible and prop_pred.max_rho <= cfg.rho_max
+    if admissible or cfg.mode is ShieldMode.OFF or cfg.mode is ShieldMode.CBF_MASK:
         return ShieldDecision(
             executed=proposed,
             proposed=proposed,
@@ -213,6 +223,7 @@ def project(
             corrected=False,
             predicted_rho_max=prop_pred.max_rho,
             l0_distance=0,
+            last_resort=not admissible and cfg.mode is ShieldMode.CBF_MASK,
         )
 
     if cfg.mode is ShieldMode.PROJECTION:
@@ -259,16 +270,3 @@ def cbf_mask(
         if not mask.any():
             raise ValueError("cbf_mask fallback requires a NoOp candidate")
     return mask
-
-
-def identity_decision(state: EnvState, action: Action, spec: GridSpec) -> ShieldDecision:
-    """Mode Off: never modifies the action; prediction kept for logging."""
-    pred = predict(state, action, spec)
-    return ShieldDecision(
-        executed=action,
-        proposed=action,
-        vetoed=False,
-        corrected=False,
-        predicted_rho_max=pred.max_rho,
-        l0_distance=0,
-    )

@@ -233,9 +233,11 @@ class TestGrounding:
         state = reset(train14, cfg, seed=0)
         action = ground_action(AbstractAction.RELIEVE_RANK1, state, train14)
         ranked = agent.ranked_lines(state)
-        target = ranked[0]
+        ends = {train14.lines[ranked[0]].from_bus, train14.lines[ranked[0]].to_bus}
+        hood = [ell for ell, line in enumerate(train14.lines)
+                if state.line_status[ell] and ends & {line.from_bus, line.to_bus}]
         best = None
-        for ell in agent._neighborhood(train14, target, state):
+        for ell in hood:
             pred = shield.predict(state, disconnect(ell), train14)
             key = (pred.max_rho, ell)
             if best is None or key < best:

@@ -49,6 +49,14 @@ class TestValidateSpec:
         violations = validate_spec(bad)
         assert any("line 0" in v and "thermal_limit" in v for v in violations)
 
+    @pytest.mark.parametrize("table", ["lines", "generators", "loads"])
+    def test_ids_must_be_positions(self, train14, table):
+        items = getattr(train14, table)
+        want = f"{table.rstrip('s')} ids must be 0..{len(items) - 1} in order"
+        for renumber in (lambda i: len(items) - 1 - i, lambda i: i + 100, lambda i: 0):
+            bad = tuple(dataclasses.replace(x, id=renumber(i)) for i, x in enumerate(items))
+            assert want in validate_spec(dataclasses.replace(train14, **{table: bad}))
+
     def test_disconnected_graph_flagged(self):
         spec = GridSpec(
             buses=(0, 1, 2, 3),

@@ -132,6 +132,33 @@ class TestGridFiles:
         with pytest.raises(harness.GridFileError, match="endpoint not a declared bus"):
             load_grid_spec(p)
 
+    def test_missing_field_reported_once(self, tmp_path, toy5):
+        doc = harness.grid_spec_to_dict(toy5)
+        del doc["buses"]
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(harness.GridFileError) as info:
+            load_grid_spec(p)
+        assert str(info.value) == f"{p}: top level: missing field 'buses'"
+
+    def test_missing_path_is_a_grid_file_error(self, tmp_path):
+        with pytest.raises(harness.GridFileError, match="cannot read"):
+            load_grid_spec(tmp_path / "nosuch.json")
+
+    @pytest.mark.parametrize(
+        "renumber", [lambda i, n: n - 1 - i, lambda i, n: i + 100], ids=["reversed", "offset"]
+    )
+    def test_line_ids_must_be_positions(self, tmp_path, train14, renumber):
+        # the kernel and Action.line index with the id: reversed ids would
+        # score one line and cut another, offset ids would index past the end
+        doc = harness.grid_spec_to_dict(train14)
+        for i, line in enumerate(doc["lines"]):
+            line["id"] = renumber(i, len(doc["lines"]))
+        p = tmp_path / "renumbered.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(harness.GridFileError, match="line ids must be 0..19 in order"):
+            load_grid_spec(p)
+
     def test_resolve_builtin_or_path(self, tmp_path, toy5):
         assert resolve_grid("toy5") == toy5
         p = tmp_path / "g.json"
@@ -367,6 +394,36 @@ class TestCli:
         p = tmp_path / "bad.json"
         p.write_text("{...")
         assert main(["validate-grid", "--grid", str(p)]) == 1
+
+    @pytest.mark.parametrize("command", ["validate-grid", "eval"])
+    def test_missing_grid_file_is_invalid(self, tmp_path, capsys, command):
+        from gridshield.cli import main
+
+        assert main([command, "--grid", str(tmp_path / "nosuch.json")]) == 1
+        assert capsys.readouterr().err.startswith("invalid: ")
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--episodes", "0"), ("--horizon", "0"), ("--updates", "0"),
+         ("--episodes-per-update", "-1"), ("--rho-max", "nan"), ("--rho-max", "-0.5"),
+         ("--sigma", "inf"), ("--sigma", "-0.01")],
+    )
+    def test_out_of_range_numbers_are_usage_errors(self, capsys, flag, value):
+        from gridshield.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["eval", flag, value])
+        assert info.value.code == 2
+        assert f"argument {flag}: must be a finite number" in capsys.readouterr().err
+
+    def test_out_defaults_to_environment(self, tmp_path, monkeypatch):
+        from gridshield.cli import main
+
+        monkeypatch.setenv("GRIDSHIELD_OUT", str(tmp_path))
+        argv = ["stress", "--grid", "toy5", "--variant", "shield_only", "--episodes", "1",
+                "--horizon", "5"]
+        assert main(argv) == 0
+        assert (tmp_path / "stress" / "episodes.jsonl").exists()
 
     def test_validate_grid_singular_file(self, tmp_path, capsys):
         from gridshield.cli import main

@@ -62,6 +62,16 @@ def proj_cfg():
     return ShieldConfig(mode=ShieldMode.PROJECTION)
 
 
+class TestShieldConfig:
+    @pytest.mark.parametrize("rho_max", [float("nan"), float("inf"), -0.01])
+    def test_rho_max_must_be_finite_and_nonnegative(self, rho_max):
+        with pytest.raises(ValueError, match="rho_max"):
+            ShieldConfig(rho_max=rho_max)
+
+    def test_zero_rho_max_accepted(self):
+        assert ShieldConfig(rho_max=0.0).rho_max == 0.0
+
+
 class TestPredict:
     def test_matches_step_at_zero_noise(self, train14):
         cfg = EnvConfig(load_noise_sigma=0.0)
@@ -249,11 +259,6 @@ class TestProject:
         assert decision.vetoed and not decision.corrected
         assert decision.last_resort
 
-    def test_off_mode_rejected(self, train14):
-        state = reset(train14, EnvConfig(), seed=0)
-        with pytest.raises(ValueError):
-            project(state, NOOP, train14, ShieldConfig(mode=ShieldMode.OFF))
-
 
 class TestCbfMask:
     def test_nominal_state_admits_noop(self, train14):
@@ -285,13 +290,25 @@ class TestCbfMask:
 
 
 class TestIdentityDecision:
-    def test_off_mode_never_modifies(self, train14):
+    """In Off mode ``project`` passes every proposal through unchanged."""
+
+    def test_off_mode_never_modifies(self, train14, toy5):
+        off = ShieldConfig(mode=ShieldMode.OFF)
         state = reset(train14, EnvConfig(), seed=0)
         action = disconnect(8)
-        decision = shield.identity_decision(state, action, train14)
+        decision = project(state, action, train14, off)
         assert decision.executed == action
         assert not decision.vetoed and not decision.corrected
         assert decision.l0_distance == 0
+        # even a proposal that islands the grid runs unchanged, unflagged
+        state = reset(toy5, EnvConfig(), seed=0)
+        action = disconnect(5)
+        assert not admissible_by_predict(state, action, toy5, 0.98)
+        decision = project(state, action, toy5, off)
+        assert decision.executed == decision.proposed == action
+        assert not decision.vetoed and not decision.corrected and not decision.last_resort
+        assert decision.l0_distance == 0
+        assert decision.predicted_rho_max == predict(state, action, toy5).max_rho
 
 
 class TestSoundness:
@@ -317,20 +334,31 @@ class TestSoundness:
 
 def _ref_project(state, proposed, spec, cfg):
     prop = predict(state, proposed, spec)
-    if prop.feasible and prop.max_rho <= cfg.rho_max:
-        return shield.ShieldDecision(proposed, proposed, False, False, prop.max_rho, 0)
+    admissible = prop.feasible and prop.max_rho <= cfg.rho_max
+    if cfg.mode is ShieldMode.OFF:
+        return shield.ShieldDecision(proposed, proposed, False, False, prop.max_rho, 0, False)
+    if cfg.mode is ShieldMode.CBF_MASK:
+        return shield.ShieldDecision(
+            proposed, proposed, False, False, prop.max_rho, 0, not admissible
+        )
+    if admissible:
+        return shield.ShieldDecision(proposed, proposed, False, False, prop.max_rho, 0, False)
+    noop = predict(state, NOOP, spec)
+    veto = shield.ShieldDecision(
+        NOOP, proposed, True, False, noop.max_rho, l0_distance(NOOP, proposed),
+        not (noop.feasible and noop.max_rho <= cfg.rho_max),
+    )
+    if cfg.mode is ShieldMode.VETO:
+        return veto
     scored = []
     for idx, cand in enumerate(default_candidates(spec)):
         p = predict(state, cand, spec)
         if p.feasible and p.max_rho <= cfg.rho_max:
             scored.append((l0_distance(cand, proposed), p.max_rho, idx, cand))
     if not scored:
-        noop = predict(state, NOOP, spec)
-        return shield.ShieldDecision(
-            NOOP, proposed, True, False, noop.max_rho, l0_distance(NOOP, proposed), True
-        )
+        return veto
     l0, peak, _, chosen = min(scored, key=lambda s: s[:3])
-    return shield.ShieldDecision(chosen, proposed, True, True, peak, l0)
+    return shield.ShieldDecision(chosen, proposed, True, True, peak, l0, False)
 
 
 def _ref_cbf_mask(state, candidates, spec, cfg):
@@ -369,11 +397,12 @@ def _check_decisions(state, spec, rho_max, proposals):
     grounded = [ground_action(a, state, spec) for a in relieve]
     for a, got in zip(relieve, grounded):
         assert got == _ref_ground(a, state, spec)
-    cfg = ShieldConfig(mode=ShieldMode.PROJECTION, rho_max=rho_max)
-    for proposed in proposals:
-        assert _bits(project(state, proposed, spec, cfg)) == _bits(
-            _ref_project(state, proposed, spec, cfg)
-        )
+    for mode in ShieldMode:
+        cfg = ShieldConfig(mode=mode, rho_max=rho_max)
+        for proposed in proposals:
+            assert _bits(project(state, proposed, spec, cfg)) == _bits(
+                _ref_project(state, proposed, spec, cfg)
+            )
     candidates = [NOOP, *grounded, *proposals]
     np.testing.assert_array_equal(
         cbf_mask(state, candidates, spec, cfg), _ref_cbf_mask(state, candidates, spec, cfg)
@@ -390,8 +419,8 @@ def _thresholds(state, spec):
 
 
 class TestDecisionEquivalence:
-    """project, cbf_mask and ground_action decide exactly as a shield that
-    predicts every candidate, recorded peaks bit for bit."""
+    """project (in all four modes), cbf_mask and ground_action decide exactly
+    as a shield that predicts every candidate, recorded peaks bit for bit."""
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_random_specs_with_outages(self, seed):
