@@ -66,19 +66,17 @@ def extract_features(state: EnvState, spec: GridSpec, config: EnvConfig) -> np.n
     lines above 0.9, mean loading, safety margin, fraction of lines out of
     service, total demand / total capacity, time remaining fraction.
     """
-    c = compiled(spec)
     rho = state.last_solution.rho
-    top = np.sort(rho)[::-1][:TOP_K]
-    padded = np.zeros(TOP_K)
-    padded[: top.size] = top
+    ascending = np.sort(rho)
+    top = ascending[::-1][:TOP_K]
     n_lines = rho.size
-    features = np.empty(FEATURE_DIM)
-    features[:TOP_K] = padded
+    features = np.zeros(FEATURE_DIM)
+    features[: top.size] = top
     features[5] = np.count_nonzero(rho > HIGH_LOAD_THRESHOLD) / n_lines
     features[6] = rho.sum() / n_lines
-    features[7] = 1.0 - rho.max()
+    features[7] = 1.0 - ascending[-1]
     features[8] = 1.0 - np.count_nonzero(state.line_status) / n_lines
-    features[9] = state.load_demands.sum() / c.p_max.sum()
+    features[9] = state.load_demands.sum() / compiled(spec).total_capacity
     features[10] = 1.0 - state.t / config.horizon
     return features
 
@@ -130,6 +128,9 @@ def policy_logits(params: PolicyParams, x: np.ndarray) -> np.ndarray:
 
 def action_distribution(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax (max subtraction); rows sum to 1."""
+    if logits.ndim == 1:
+        e = np.exp(logits - logits.max())
+        return e / e.sum()
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
@@ -152,8 +153,9 @@ def sample_abstract(dist: np.ndarray, rng: np.random.Generator) -> AbstractActio
 
 def ranked_lines(state: EnvState) -> np.ndarray:
     """In-service lines ordered by loading, heaviest first (ties by id)."""
-    in_service = np.flatnonzero(state.line_status)
-    return in_service[np.lexsort((in_service, -state.last_solution.rho[in_service]))]
+    in_service = state.line_status.nonzero()[0]
+    # in_service ascends, so a stable sort breaks ties by id
+    return in_service[(-state.last_solution.rho[in_service]).argsort(kind="stable")]
 
 
 def _longest_out_reconnect(state: EnvState) -> Action:

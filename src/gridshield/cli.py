@@ -36,17 +36,17 @@ def _at_least(kind: type, low: float):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    count, nonnegative = _at_least(int, 1), _at_least(float, 0.0)
+    count, whole, nonnegative = _at_least(int, 1), _at_least(int, 0), _at_least(float, 0.0)
     p.add_argument("--grid", default="train14", help="builtin grid name or spec file path")
     p.add_argument("--variant", choices=sorted(VARIANT_CHOICES), default=None,
                    help="restrict the suite to a single variant")
     p.add_argument("--rho-max", type=nonnegative, default=0.98,
                    help="shield admissibility threshold")
-    p.add_argument("--seed", type=int, default=0, help="base seed; episode i uses seed+i")
+    p.add_argument("--seed", type=whole, default=0, help="base seed; episode i uses seed+i")
     p.add_argument("--episodes", type=count, default=None, help="episode count override")
     p.add_argument("--horizon", type=count, default=200)
     p.add_argument("--sigma", type=nonnegative, default=0.02, help="load noise std")
-    p.add_argument("--stress-step", type=int, default=10)
+    p.add_argument("--stress-step", type=whole, default=10)
     p.add_argument("--updates", type=count, default=200, help="training updates")
     p.add_argument("--episodes-per-update", type=count, default=4)
     p.add_argument("--no-traces", action="store_true", help="drop per-step traces from records")

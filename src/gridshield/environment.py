@@ -133,7 +133,7 @@ def base_dispatch(spec: GridSpec) -> np.ndarray:
     """Generators share total base demand proportionally to p_max."""
     c = compiled(spec)
     total_demand = float(c.base_demand.sum())
-    total_cap = float(c.p_max.sum())
+    total_cap = float(c.total_capacity)
     if total_demand > total_cap:
         raise InfeasibleDispatchError(
             f"base demand {total_demand:.4f} exceeds total p_max {total_cap:.4f}"

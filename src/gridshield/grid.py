@@ -117,6 +117,7 @@ class _CompiledSpec:
     injection_bus_idx: np.ndarray
     p_min: np.ndarray
     p_max: np.ndarray
+    total_capacity: float  # p_max.sum()
     ramp: np.ndarray
     base_demand: np.ndarray
     slack_idx: int
@@ -146,6 +147,7 @@ def compiled(spec: GridSpec) -> _CompiledSpec:
         (from_idx * n + from_idx, to_idx * n + to_idx, from_idx * n + to_idx, to_idx * n + from_idx)
     )
     laplacian_w = np.stack((susceptance, susceptance, -susceptance, -susceptance))
+    p_max = np.array([g.p_max for g in spec.generators], dtype=float)
     bus_lines: list[list[tuple[int, int]]] = [[] for _ in spec.buses]
     for ell, (u, v) in enumerate(zip(from_idx.tolist(), to_idx.tolist())):
         bus_lines[u].append((ell, v))
@@ -162,7 +164,8 @@ def compiled(spec: GridSpec) -> _CompiledSpec:
         susceptance=susceptance,
         limits=np.array([l.thermal_limit for l in spec.lines], dtype=float),
         p_min=np.array([g.p_min for g in spec.generators], dtype=float),
-        p_max=np.array([g.p_max for g in spec.generators], dtype=float),
+        p_max=p_max,
+        total_capacity=p_max.sum(),
         ramp=np.array([g.ramp_limit for g in spec.generators], dtype=float),
         base_demand=np.array([d.base_demand for d in spec.loads], dtype=float),
         slack_idx=bus_index[spec.slack_bus],

@@ -60,6 +60,7 @@ class ShieldConfig:
             raise ValueError(f"rho_max must be finite and >= 0, got {self.rho_max}")
 
 
+@lru_cache(maxsize=64)
 def default_candidates(spec: GridSpec) -> tuple[Action, ...]:
     """Projection's candidates: NoOp plus every single-line disconnection."""
     return env.enumerate_actions(spec, _NEUTRAL_CONFIG)[: spec.n_lines + 1]
@@ -108,8 +109,8 @@ def predict(state: EnvState, action: Action, spec: GridSpec) -> Prediction:
     """Apply the action to a copy of the state and solve with zero
     disturbance (base demands, no forced outages).  Shares the environment's
     action-application rule, including degradation of infeasible actions."""
-    if not env.action_feasible(state, action, spec):
-        action = NOOP
+    if action.kind is ActionKind.NOOP or not env.action_feasible(state, action, spec):
+        return _predict_solution(spec, state.line_status.tobytes(), state.gen_setpoints.tobytes())
     status = state.line_status.copy()
     cooldowns = state.cooldowns.copy()
     setpoints = state.gen_setpoints.copy()
@@ -212,7 +213,13 @@ def project(
     left).  Otherwise Veto executes NoOp and Projection substitutes the
     admissible candidate with minimal L0 distance, ties broken by lower
     predicted peak loading then lower candidate index.  An empty admissible
-    set falls back to NoOp and is flagged as a last resort."""
+    set falls back to NoOp and is flagged as a last resort.
+
+    An admissible NoOp settles Projection without a search: it is one
+    control change from any other proposal, and the only other candidate as
+    near, the cut of the proposal's own line, is the inadmissible proposal
+    itself or, for a reconnection, an infeasible cut that ties NoOp and
+    loses on index.  The full search runs only when NoOp is inadmissible."""
     prop_pred = predict(state, proposed, spec)
     admissible = prop_pred.feasible and prop_pred.max_rho <= cfg.rho_max
     if admissible or cfg.mode is ShieldMode.OFF or cfg.mode is ShieldMode.CBF_MASK:
@@ -226,14 +233,15 @@ def project(
             last_resort=not admissible and cfg.mode is ShieldMode.CBF_MASK,
         )
 
-    if cfg.mode is ShieldMode.PROJECTION:
+    noop = predict(state, NOOP, spec)
+    noop_ok = noop.feasible and noop.max_rho <= cfg.rho_max
+    if cfg.mode is ShieldMode.PROJECTION and not noop_ok:
         candidates = default_candidates(spec)
         ok = _admissible(state, candidates, spec, cfg.rho_max)
         if ok.any():
-            # L0 from each candidate (NoOp, then disconnect k at 1 + k) to the
-            # proposal: 2 except NoOp itself and the proposal's own line
+            # L0 from each disconnection (disconnect k at 1 + k; NoOp at 0 is
+            # inadmissible here) to the proposal: 2 except on its own line
             l0 = np.full(len(candidates), 1 if proposed.kind is ActionKind.NOOP else 2)
-            l0[0] = l0_distance(NOOP, proposed)
             if proposed.line is not None:
                 l0[1 + proposed.line] = l0_distance(candidates[1 + proposed.line], proposed)
             chosen = candidates[lowest_peak(state, spec, np.flatnonzero(ok & (l0 == l0[ok].min())))]
@@ -246,15 +254,14 @@ def project(
                 l0_distance=l0_distance(chosen, proposed),
             )
 
-    exec_pred = predict(state, NOOP, spec)
     return ShieldDecision(
         executed=NOOP,
         proposed=proposed,
         vetoed=True,
-        corrected=False,
-        predicted_rho_max=exec_pred.max_rho,
+        corrected=noop_ok and cfg.mode is ShieldMode.PROJECTION,
+        predicted_rho_max=noop.max_rho,
         l0_distance=l0_distance(NOOP, proposed),
-        last_resort=not (exec_pred.feasible and exec_pred.max_rho <= cfg.rho_max),
+        last_resort=not noop_ok,
     )
 
 

@@ -171,11 +171,12 @@ def rollout(
 ) -> Trajectory:
     """One agent.episode, collecting (features, intent, reward, mask) per step."""
     feats, acts, rews, masks = [], [], [], []
+    all_open = np.ones(agent_mod.N_ABSTRACT, bool)
     for _, res, outcome in agent_mod.episode(variant, params, spec, env_cfg, shield_cfg, seed):
         feats.append(res.features)
         acts.append(int(res.abstract))
         rews.append(outcome.reward)
-        masks.append(res.mask if res.mask is not None else np.ones(agent_mod.N_ABSTRACT, bool))
+        masks.append(all_open if res.mask is None else res.mask)
     return Trajectory(
         features=np.array(feats),
         actions=np.array(acts, dtype=np.intp),

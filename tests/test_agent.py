@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -99,6 +101,48 @@ class TestFeatures:
             else:
                 state = outcome.next_state
 
+    @given(
+        st.lists(
+            st.sampled_from([0.0, 0.25, 0.9, 0.95, 1.3, np.inf]) | st.floats(0.0, 3.0),
+            min_size=1, max_size=12,
+        ),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    def test_equals_sort_and_pad_formulation_bit_for_bit(self, rho, seed):
+        # ties, fewer than five lines and unbounded loadings
+        rng = np.random.default_rng(seed)
+        n = len(rho)
+        spec = GridSpec(
+            buses=(0, 1),
+            lines=tuple(LineSpec(i, 0, 1, 1.0 + i, 1.0) for i in range(n)),
+            generators=(GenSpec(0, 0, 0.0, 2.0, 0.5), GenSpec(1, 1, 0.0, 1.5, 0.5)),
+            loads=(LoadSpec(0, 1, 0.7),),
+            slack_bus=0,
+        )
+        cfg = EnvConfig(horizon=int(rng.integers(1, 300)))
+        state = reset(spec, cfg, seed=0)
+        state = dataclasses.replace(
+            state,
+            t=int(rng.integers(cfg.horizon)),
+            line_status=rng.random(n) < 0.7,
+            load_demands=state.load_demands * rng.uniform(0.8, 1.2),
+            last_solution=dataclasses.replace(state.last_solution, rho=np.array(rho)),
+        )
+        rho = state.last_solution.rho
+        top = np.sort(rho)[::-1][:5]
+        padded = np.zeros(5)
+        padded[: top.size] = top
+        want = np.empty(FEATURE_DIM)
+        want[:5] = padded
+        want[5] = np.count_nonzero(rho > agent.HIGH_LOAD_THRESHOLD) / n
+        want[6] = rho.sum() / n
+        want[7] = 1.0 - rho.max()
+        want[8] = 1.0 - np.count_nonzero(state.line_status) / n
+        want[9] = state.load_demands.sum() / grid.compiled(spec).p_max.sum()
+        want[10] = 1.0 - state.t / cfg.horizon
+        got = extract_features(state, spec, cfg)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
 
 class TestPolicyNetwork:
     def test_zero_weights_zero_logits(self):
@@ -170,6 +214,10 @@ class TestActionDistribution:
             assert [v.hex() for v in got.ravel().tolist()] == [
                 v.hex() for v in want.ravel().tolist()
             ]
+        # a vector takes no keepdims reductions, yet equals its row of a batch
+        batch = action_distribution(logits)
+        for x, row in zip(logits, batch):
+            assert action_distribution(x).tobytes() == row.tobytes()
 
 
 class TestSampling:
@@ -243,6 +291,20 @@ class TestGrounding:
             if best is None or key < best:
                 best = key
         assert action == disconnect(best[1])
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_ranked_lines_equals_lexsort_formulation(self, seed):
+        # few distinct loadings, so ties are common, and random outages
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        rho = rng.integers(0, 4, size=n) / 4.0
+        status = rng.random(n) < 0.7
+        state = SimpleNamespace(line_status=status, last_solution=SimpleNamespace(rho=rho))
+        in_service = np.flatnonzero(status)
+        want = in_service[np.lexsort((in_service, -rho[in_service]))]
+        got = agent.ranked_lines(state)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
     def test_restore_all_in_service_noop(self, train14):
         state = reset(train14, EnvConfig(), seed=0)

@@ -406,7 +406,7 @@ class TestCli:
         "flag, value",
         [("--episodes", "0"), ("--horizon", "0"), ("--updates", "0"),
          ("--episodes-per-update", "-1"), ("--rho-max", "nan"), ("--rho-max", "-0.5"),
-         ("--sigma", "inf"), ("--sigma", "-0.01")],
+         ("--sigma", "inf"), ("--sigma", "-0.01"), ("--seed", "-1"), ("--stress-step", "-3")],
     )
     def test_out_of_range_numbers_are_usage_errors(self, capsys, flag, value):
         from gridshield.cli import main

@@ -260,6 +260,58 @@ class TestProject:
         assert decision.last_resort
 
 
+class _Searched(Exception):
+    pass
+
+
+def _no_search(*args, **kwargs):
+    raise _Searched
+
+
+class TestNoOpShortcut:
+    """Projection answers an inadmissible proposal with NoOp, without the
+    search over every candidate, exactly when NoOp is admissible."""
+
+    @pytest.mark.parametrize("name", ["toy5", "train14", "large36"])
+    def test_search_runs_only_when_noop_is_inadmissible(self, name, monkeypatch):
+        spec = builtin_grid(name)
+        state = reset(spec, EnvConfig(), seed=0)
+        noop_peak = predict(state, NOOP, spec).max_rho
+        worse = [k for k in range(spec.n_lines)
+                 if predict(state, disconnect(k), spec).max_rho > noop_peak]
+        assert worse
+        monkeypatch.setattr(shield, "_admissible", _no_search)
+        at_noop = ShieldConfig(mode=ShieldMode.PROJECTION, rho_max=noop_peak)
+        for k in worse:
+            decision = project(state, disconnect(k), spec, at_noop)
+            assert decision == shield.ShieldDecision(
+                NOOP, disconnect(k), True, True, noop_peak, 1, False
+            )
+        below_noop = ShieldConfig(
+            mode=ShieldMode.PROJECTION, rho_max=float(np.nextafter(noop_peak, 0.0))
+        )
+        with pytest.raises(_Searched):
+            project(state, disconnect(worse[0]), spec, below_noop)
+
+    def test_redispatch_and_reconnection_skip_the_search(self, train14, monkeypatch):
+        cfg = EnvConfig(load_noise_sigma=0.0)
+        state = step(reset(train14, cfg, seed=0), disconnect(4), train14, cfg).next_state
+        state = dataclasses.replace(state, cooldowns=np.zeros_like(state.cooldowns))
+        noop_peak = predict(state, NOOP, train14).max_rho
+        proposals = [reconnect(4), redispatch(train14.n_gens - 1, 0.1)]
+        peaks = [predict(state, p, train14).max_rho for p in proposals]
+        assert noop_peak < min(peaks)
+        # NoOp admissible, both proposals not
+        rho_max = float(np.nextafter(min(peaks), 0.0))
+        cfg = ShieldConfig(mode=ShieldMode.PROJECTION, rho_max=rho_max)
+        wants = [_ref_project(state, p, train14, cfg) for p in proposals]
+        monkeypatch.setattr(shield, "_admissible", _no_search)
+        for proposed, want in zip(proposals, wants):
+            got = project(state, proposed, train14, cfg)
+            assert got.executed == NOOP and got.corrected
+            assert _bits(got) == _bits(want)
+
+
 class TestCbfMask:
     def test_nominal_state_admits_noop(self, train14):
         state = reset(train14, EnvConfig(), seed=0)
@@ -397,11 +449,20 @@ def _check_decisions(state, spec, rho_max, proposals):
     grounded = [ground_action(a, state, spec) for a in relieve]
     for a, got in zip(relieve, grounded):
         assert got == _ref_ground(a, state, spec)
+    # the proposals, a redispatch of the last generator and, when a line is
+    # out, its reconnection while it is still cooling down (so degraded)
+    g = spec.n_gens - 1
+    checks = [(state, p) for p in [*proposals, redispatch(g, 0.5 * spec.generators[g].ramp_limit)]]
+    out = np.flatnonzero(~state.line_status)
+    if out.size:
+        cooldowns = state.cooldowns.copy()
+        cooldowns[out[0]] = 2
+        checks.append((dataclasses.replace(state, cooldowns=cooldowns), reconnect(int(out[0]))))
     for mode in ShieldMode:
         cfg = ShieldConfig(mode=mode, rho_max=rho_max)
-        for proposed in proposals:
-            assert _bits(project(state, proposed, spec, cfg)) == _bits(
-                _ref_project(state, proposed, spec, cfg)
+        for at, proposed in checks:
+            assert _bits(project(at, proposed, spec, cfg)) == _bits(
+                _ref_project(at, proposed, spec, cfg)
             )
     candidates = [NOOP, *grounded, *proposals]
     np.testing.assert_array_equal(
