@@ -6,8 +6,10 @@ prescribes (200 updates, nominal mode) and reused for the shield-soundness,
 stress-ordering and zero-shot checks.
 """
 
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,35 +39,55 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE CRITERION {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
+GOLDEN_ACCEPT = Path(__file__).parent / "data" / "golden_accept_train14.json"
+
+
+def _accept_train(variant: AgentVariant, seed: int):
+    """One acceptance training on nominal train14 and its wall-clock."""
+    t0 = time.time()
+    result = training.train(
+        builtin_grid("train14"),
+        EnvConfig(),
+        ACCEPT_TRAIN,
+        shield_config_for(variant, RHO_MAX),
+        variant,
+        seed=seed,
+    )
+    return result, time.time() - t0
+
+
 @pytest.fixture(scope="session")
 def hs_train():
     """The learning-signal run: 200 updates, nominal mode, hierarchy+shield."""
-    spec = builtin_grid("train14")
-    t0 = time.time()
-    result = training.train(
-        spec,
-        EnvConfig(),
-        ACCEPT_TRAIN,
-        shield_config_for(AgentVariant.HIERARCHY_SHIELD, RHO_MAX),
-        AgentVariant.HIERARCHY_SHIELD,
-        seed=100_000,
-    )
-    return result, time.time() - t0
+    return _accept_train(AgentVariant.HIERARCHY_SHIELD, 100_000)
 
 
 @pytest.fixture(scope="session")
 def flat_train():
-    spec = builtin_grid("train14")
-    t0 = time.time()
-    result = training.train(
-        spec,
-        EnvConfig(),
-        ACCEPT_TRAIN,
-        shield_config_for(AgentVariant.FLAT, RHO_MAX),
-        AgentVariant.FLAT,
-        seed=100_001,
-    )
-    return result, time.time() - t0
+    return _accept_train(AgentVariant.FLAT, 100_001)
+
+
+def accept_golden(hs_result, flat_result) -> str:
+    """Both acceptance trainings' per-update margin returns, as float.hex,
+    and a sha256 of each final parameter set, as JSON text.  Run this module
+    as a script to rewrite the committed golden."""
+    payload = {}
+    for name, result in (("hierarchy_shield", hs_result), ("flat", flat_result)):
+        digest = hashlib.sha256()
+        for layer in result.params.layers():
+            digest.update(np.ascontiguousarray(layer).tobytes())
+        payload[name] = {
+            "margin_returns": [float(r).hex() for r in result.margin_returns],
+            "params_sha256": digest.hexdigest(),
+        }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_acceptance_trainings_match_golden(hs_train, flat_train):
+    # the 200 x 24 trainings the criteria below share: a change that moves
+    # any decision, reward or update along them moves a margin return or a
+    # parameter digest, however deep into training
+    assert accept_golden(hs_train[0], flat_train[0]) == GOLDEN_ACCEPT.read_text()
 
 
 def _run_shielded_stress_episode(spec, params, seed, env_cfg, shield_cfg):
@@ -404,3 +426,12 @@ def test_criterion_10_metric_identities(stress_decisions):
         f"softmax normalization & shift invariance over 200 draws: {softmax_ok}",
     )
     assert ok
+
+
+if __name__ == "__main__":
+    GOLDEN_ACCEPT.write_text(
+        accept_golden(
+            _accept_train(AgentVariant.HIERARCHY_SHIELD, 100_000)[0],
+            _accept_train(AgentVariant.FLAT, 100_001)[0],
+        )
+    )
