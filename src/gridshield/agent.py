@@ -11,6 +11,7 @@ decides what each decision executes.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -67,18 +68,23 @@ def extract_features(state: EnvState, spec: GridSpec, config: EnvConfig) -> np.n
     service, total demand / total capacity, time remaining fraction.
     """
     rho = state.last_solution.rho
-    ascending = np.sort(rho)
-    top = ascending[::-1][:TOP_K]
     n_lines = rho.size
-    features = np.zeros(FEATURE_DIM)
-    features[: top.size] = top
-    features[5] = np.count_nonzero(rho > HIGH_LOAD_THRESHOLD) / n_lines
-    features[6] = rho.sum() / n_lines
-    features[7] = 1.0 - ascending[-1]
-    features[8] = 1.0 - np.count_nonzero(state.line_status) / n_lines
-    features[9] = state.load_demands.sum() / compiled(spec).total_capacity
-    features[10] = 1.0 - state.t / config.horizon
-    return features
+    mean = rho.sum() / n_lines
+    if mean == mean:
+        ascending = sorted(rho.tolist())
+        high = n_lines - bisect_right(ascending, HIGH_LOAD_THRESHOLD)
+    else:  # np.sort puts NaNs last, where sorted() would leave them anywhere
+        ascending = np.sort(rho).tolist()
+        high = np.count_nonzero(rho > HIGH_LOAD_THRESHOLD)
+    top = ascending[: -TOP_K - 1 : -1] + [0.0] * (TOP_K - n_lines)
+    return np.array(top + [
+        high / n_lines,
+        mean,
+        1.0 - ascending[-1],
+        1.0 - np.count_nonzero(state.line_status) / n_lines,
+        state.load_demands.sum() / compiled(spec).total_capacity,
+        1.0 - state.t / config.horizon,
+    ])
 
 
 @dataclass
@@ -129,8 +135,11 @@ def policy_logits(params: PolicyParams, x: np.ndarray) -> np.ndarray:
 def action_distribution(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax (max subtraction); rows sum to 1."""
     if logits.ndim == 1:
-        e = np.exp(logits - logits.max())
-        return e / e.sum()
+        # max() over the list equals the reduction: a NaN leaves every entry
+        # NaN either way
+        e = np.exp(logits - max(logits.tolist()))
+        e /= e.sum()
+        return e
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)

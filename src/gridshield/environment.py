@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import grid
-from .grid import GridSpec, PowerFlowSolution, bus_injections, compiled, safety_margin
+from .grid import GridSpec, PowerFlowSolution, bus_injections, compiled
 
 # Consecutive steps a line may sit above rho = 1 before the grid collapses.
 OVERLOAD_GRACE = 3
@@ -177,14 +177,13 @@ def enumerate_actions(spec: GridSpec, config: EnvConfig) -> tuple[Action, ...]:
 
 
 def action_feasible(state: EnvState, action: Action, spec: GridSpec) -> bool:
-    c = compiled(spec)
     if action.kind is ActionKind.NOOP:
         return True
     if action.kind is ActionKind.DISCONNECT:
         return bool(state.line_status[action.line])
     if action.kind is ActionKind.RECONNECT:
         return bool(not state.line_status[action.line] and state.cooldowns[action.line] == 0)
-    g = action.gen
+    g, c = action.gen, compiled(spec)
     stepped = state.gen_setpoints[g] + action.delta
     return bool(
         c.p_min[g] <= stepped <= c.p_max[g] and abs(action.delta) <= c.ramp[g]
@@ -195,9 +194,9 @@ def sample_disturbance(state: EnvState, config: EnvConfig) -> tuple[np.ndarray, 
     """Draw load multipliers and, in stress mode at the configured step,
     force an outage of the currently highest-loaded in-service line.
     Returns (multipliers, forced outages)."""
-    n_loads = state.load_demands.shape[0]
-    mult = 1.0 + config.load_noise_sigma * state.rng.standard_normal(n_loads)
-    mult = np.minimum(np.maximum(mult, MULTIPLIER_LO), MULTIPLIER_HI)
+    mult = config.load_noise_sigma * state.rng.standard_normal(state.load_demands.shape[0])
+    mult += 1.0
+    np.minimum(np.maximum(mult, MULTIPLIER_LO, out=mult), MULTIPLIER_HI, out=mult)
     forced: tuple[int, ...] = ()
     if config.stress_mode and state.t == config.stress_outage_step:
         rho = np.where(state.line_status, state.last_solution.rho, -1.0)
@@ -223,12 +222,10 @@ def apply_action(
         setpoints[action.gen] += action.delta
 
 
-def compute_reward(
-    rho: np.ndarray, terminated_by_collapse: bool, config: EnvConfig
-) -> float:
-    """r = SURVIVAL_BONUS + clamp(margin, -1, 1), minus the collapse penalty
-    on collapse."""
-    r = SURVIVAL_BONUS + min(max(safety_margin(rho), -1.0), 1.0)
+def compute_reward(peak: float, terminated_by_collapse: bool, config: EnvConfig) -> float:
+    """r = SURVIVAL_BONUS + clamp(1 - peak, -1, 1), the peak being the highest
+    loading ratio, minus the collapse penalty on collapse."""
+    r = SURVIVAL_BONUS + min(max(1.0 - peak, -1.0), 1.0)
     if terminated_by_collapse:
         r -= config.collapse_penalty
     return r
@@ -236,25 +233,32 @@ def compute_reward(
 
 def step(state: EnvState, action: Action, spec: GridSpec, config: EnvConfig) -> StepOutcome:
     """Advance one step.  Infeasible proposed actions degrade to NoOp."""
-    c = compiled(spec)
     if not action_feasible(state, action, spec):
         action = NOOP
 
     status = state.line_status.copy()
-    cooldowns = np.maximum(state.cooldowns - 1, 0)
+    cooldowns = np.maximum(np.subtract(state.cooldowns, 1), 0)
     setpoints = state.gen_setpoints.copy()
     apply_action(status, cooldowns, setpoints, action, config)
 
-    multipliers, forced = sample_disturbance(state, config)
-    demands = c.base_demand * multipliers
+    demands, forced = sample_disturbance(state, config)
+    demands *= compiled(spec).base_demand
     for ell in forced:
         if status[ell]:
             status[ell] = False
             cooldowns[ell] = config.reconnection_cooldown
 
-    out_steps = np.where(status, 0, state.out_steps + 1)
+    out_steps = np.add(state.out_steps, 1)
+    out_steps[status] = 0
     solution = solve_state(spec, setpoints, demands, status)
-    streak = np.where(solution.rho > 1.0, state.overload_streak + 1, 0)
+    rho = solution.rho
+    # one peak decides the reward and the overloads: at or below 1, which is
+    # almost every step, every streak restarts and nothing can collapse
+    peak = float(rho.max())
+    overloaded = not peak <= 1.0
+    streak = np.zeros(rho.size, dtype=np.intp)
+    if overloaded:
+        streak = np.where(rho > 1.0, state.overload_streak + 1, 0)
 
     next_state = EnvState(
         t=state.t + 1,
@@ -272,16 +276,15 @@ def step(state: EnvState, action: Action, spec: GridSpec, config: EnvConfig) -> 
         failure = FailureMode.TIME_LIMIT
     elif not solution.feasible:
         failure = FailureMode.INFEASIBLE_TOPOLOGY
-    elif (streak >= OVERLOAD_GRACE).any():
+    elif overloaded and streak.max() >= OVERLOAD_GRACE:
         failure = FailureMode.THERMAL_COLLAPSE
     else:
         failure = None
     collapse = failure in (FailureMode.THERMAL_COLLAPSE, FailureMode.INFEASIBLE_TOPOLOGY)
-    reward = compute_reward(solution.rho, collapse, config)
     return StepOutcome(
         next_state=next_state,
-        reward=reward,
+        reward=compute_reward(peak, collapse, config),
         terminated=failure is not None,
         failure=failure,
-        rho=solution.rho,
+        rho=rho,
     )

@@ -266,12 +266,14 @@ def connected_components(spec: GridSpec, line_status: np.ndarray) -> list[list[i
 class _Topology:
     """What a line status fixes for every solve on it: the slack island's
     buses, whether it holds every load and generator, its in-service lines,
-    its buses but the slack (`red`) and the LU factors of the susceptance
-    Laplacian over `red` (empty when `red` is)."""
+    whether those are all buses and all lines (`whole`: a solve then zeroes
+    nothing), its buses but the slack (`red`) and the LU factors of the
+    susceptance Laplacian over `red` (empty when `red` is)."""
 
     in_island: np.ndarray
     feasible: bool
     active: np.ndarray
+    whole: bool
     red: np.ndarray
     lu: np.ndarray
     piv: np.ndarray
@@ -308,7 +310,8 @@ def _topology(spec: GridSpec, status: bytes) -> _Topology:
         lu, piv = np.empty((0, 0)), np.empty(0, dtype=np.int32)
     for arr in (in_island, active, red, lu, piv):
         arr.setflags(write=False)
-    return _Topology(in_island, feasible, active, red, lu, piv)
+    whole = bool(in_island.all() and active.all())
+    return _Topology(in_island, feasible, active, whole, red, lu, piv)
 
 
 def _solve_reduced(topo: _Topology, rhs: np.ndarray) -> np.ndarray:
@@ -341,7 +344,9 @@ def solve_dc_power_flow(
     """
     c = compiled(spec)
     topo = _topology(spec, np.asarray(line_status, dtype=bool).tobytes())
-    balanced = np.where(topo.in_island, np.asarray(injections, dtype=float), 0.0)
+    balanced = np.array(injections, dtype=float)
+    if not topo.whole:
+        balanced[~topo.in_island] = 0.0
     balanced[c.slack_idx] = 0.0
     balanced[c.slack_idx] = -balanced.sum()
 
@@ -349,9 +354,9 @@ def solve_dc_power_flow(
     if topo.red.size:
         angles[topo.red] = _solve_reduced(topo, balanced[topo.red])
 
-    flows = np.where(
-        topo.active, c.susceptance * (angles[c.from_idx] - angles[c.to_idx]), 0.0
-    )
+    flows = c.susceptance * (angles[c.from_idx] - angles[c.to_idx])
+    if not topo.whole:
+        flows[~topo.active] = 0.0
     rho = np.abs(flows) / c.limits
     return PowerFlowSolution(
         angles=angles, flows=flows, rho=rho, feasible=topo.feasible, injections=balanced

@@ -151,12 +151,9 @@ def policy_gradient_update(
     params: PolicyParams,
     trajectories: list[Trajectory],
     cfg: TrainConfig,
-    optimizer: AdamOptimizer | None = None,
+    optimizer: AdamOptimizer,
 ) -> tuple[PolicyParams, UpdateDiagnostics]:
-    """One REINFORCE step.  A fresh optimizer is used when none is passed
-    (single-shot usage); training loops carry one across updates."""
-    if optimizer is None:
-        optimizer = AdamOptimizer(cfg)
+    """One REINFORCE step; the optimizer carries its moments across updates."""
     _, grads, diag = policy_objective_and_grads(params, trajectories, cfg)
     return optimizer.update(params, grads), diag
 
@@ -174,7 +171,7 @@ def rollout(
     all_open = np.ones(agent_mod.N_ABSTRACT, bool)
     for _, res, outcome in agent_mod.episode(variant, params, spec, env_cfg, shield_cfg, seed):
         feats.append(res.features)
-        acts.append(int(res.abstract))
+        acts.append(res.abstract)
         rews.append(outcome.reward)
         masks.append(all_open if res.mask is None else res.mask)
     return Trajectory(

@@ -74,8 +74,9 @@ class TestFeatures:
             state = reset(spec, EnvConfig(), seed=0)
             assert extract_features(state, spec, EnvConfig()).shape == (FEATURE_DIM,)
 
-    @pytest.mark.parametrize("name", ["toy5", "train14", "large36"])
+    @pytest.mark.parametrize("name", ["toy5", "train14", "large36", "triangle"])
     def test_equals_mean_formulation_bit_for_bit(self, name, request):
+        # triangle has fewer lines than TOP_K: the zero-padded branch
         spec = request.getfixturevalue(name)
         cfg = EnvConfig(load_noise_sigma=0.1)
         state = reset(spec, cfg, seed=3)
@@ -103,13 +104,14 @@ class TestFeatures:
 
     @given(
         st.lists(
-            st.sampled_from([0.0, 0.25, 0.9, 0.95, 1.3, np.inf]) | st.floats(0.0, 3.0),
+            st.sampled_from([0.0, 0.25, 0.9, 0.95, 1.3, np.inf, np.nan]) | st.floats(0.0, 3.0),
             min_size=1, max_size=12,
         ),
         st.integers(min_value=0, max_value=10_000),
     )
     def test_equals_sort_and_pad_formulation_bit_for_bit(self, rho, seed):
-        # ties, fewer than five lines and unbounded loadings
+        # ties, fewer than five lines, unbounded loadings and NaN (np.sort
+        # puts it last, so it leads the top five)
         rng = np.random.default_rng(seed)
         n = len(rho)
         spec = GridSpec(
@@ -205,6 +207,8 @@ class TestActionDistribution:
         logits = rng.normal(0, 10, size=(int(rng.integers(1, 9)), 5))
         logits[rng.random(logits.shape) < 0.2] = -np.inf  # masked entries
         logits[:, 0] = np.where(np.isinf(logits).all(axis=1), 0.0, logits[:, 0])
+        if seed % 3 == 0:  # a NaN turns its row all NaN
+            logits.flat[int(rng.integers(logits.size))] = np.nan
         for x in (logits, logits[0]):  # batched and 1-D
             z = x - np.max(x, axis=-1, keepdims=True)
             e = np.exp(z)
@@ -217,7 +221,8 @@ class TestActionDistribution:
         # a vector takes no keepdims reductions, yet equals its row of a batch
         batch = action_distribution(logits)
         for x, row in zip(logits, batch):
-            assert action_distribution(x).tobytes() == row.tobytes()
+            got = action_distribution(x).tolist()
+            assert [v.hex() for v in got] == [v.hex() for v in row.tolist()]
 
 
 class TestSampling:

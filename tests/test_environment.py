@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gridshield import environment as env
+from gridshield import environment as env, grid
 from gridshield.environment import (
     Action,
     ActionKind,
@@ -19,7 +21,8 @@ from gridshield.environment import (
     sample_disturbance,
     step,
 )
-from gridshield.grid import GenSpec, GridSpec, LineSpec, LoadSpec
+from gridshield.grid import GenSpec, GridSpec, LineSpec, LoadSpec, safety_margin
+from gridshield.grids import builtin_grid
 
 
 def ring_spec(n_lines, n_gens=1, p_max=2.0):
@@ -278,26 +281,133 @@ class TestStep:
         assert state.t == 5
 
 
+def reference_step(state, action, spec, config):
+    """The step as written before it took the peak once: a where-masked
+    solve, an np.where streak, (streak >= OVERLOAD_GRACE).any() and the
+    safety_margin reward, each array op spelled out."""
+    c = grid.compiled(spec)
+    if not env.action_feasible(state, action, spec):
+        action = NOOP
+    status = state.line_status.copy()
+    cooldowns = np.maximum(state.cooldowns - 1, 0)
+    setpoints = state.gen_setpoints.copy()
+    env.apply_action(status, cooldowns, setpoints, action, config)
+    mult = 1.0 + config.load_noise_sigma * state.rng.standard_normal(spec.n_loads)
+    mult = np.minimum(np.maximum(mult, env.MULTIPLIER_LO), env.MULTIPLIER_HI)
+    if config.stress_mode and state.t == config.stress_outage_step:
+        loading = np.where(state.line_status, state.last_solution.rho, -1.0)
+        if loading.max() >= 0 and status[np.argmax(loading)]:
+            status[np.argmax(loading)] = False
+            cooldowns[np.argmax(loading)] = config.reconnection_cooldown
+    demands = c.base_demand * mult
+    out_steps = np.where(status, 0, state.out_steps + 1)
+    topo = grid._topology(spec, status.tobytes())
+    injections = np.bincount(
+        c.injection_bus_idx, np.concatenate((setpoints, -demands)), minlength=spec.n_buses
+    )
+    balanced = np.where(topo.in_island, injections, 0.0)
+    balanced[c.slack_idx] = 0.0
+    balanced[c.slack_idx] = -balanced.sum()
+    angles = np.zeros(spec.n_buses)
+    if topo.red.size:
+        angles[topo.red] = grid._solve_reduced(topo, balanced[topo.red])
+    flows = np.where(topo.active, c.susceptance * (angles[c.from_idx] - angles[c.to_idx]), 0.0)
+    rho = np.abs(flows) / c.limits
+    streak = np.where(rho > 1.0, state.overload_streak + 1, 0)
+    if state.t + 1 >= config.horizon:
+        failure = FailureMode.TIME_LIMIT
+    elif not topo.feasible:
+        failure = FailureMode.INFEASIBLE_TOPOLOGY
+    elif (streak >= OVERLOAD_GRACE).any():
+        failure = FailureMode.THERMAL_COLLAPSE
+    else:
+        failure = None
+    reward = env.SURVIVAL_BONUS + min(max(safety_margin(rho), -1.0), 1.0)
+    if failure in (FailureMode.THERMAL_COLLAPSE, FailureMode.INFEASIBLE_TOPOLOGY):
+        reward -= config.collapse_penalty
+    return reward, rho, streak, out_steps, cooldowns, status, demands, failure
+
+
+def hexes(a):
+    return [float(v).hex() for v in np.asarray(a, dtype=float).ravel().tolist()]
+
+
+class TestStepBitIdentity:
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_step_equals_reference(self, seed):
+        # random states: lines out with cooldowns and out-steps, streaks 0-2
+        # on overloaded lines, heavy noise, and the stress step's forced cut
+        rng = np.random.default_rng(seed)
+        for name in ("toy5", "train14", "large36"):
+            spec = builtin_grid(name)
+            c = grid.compiled(spec)
+            for _ in range(4):
+                cfg = EnvConfig(
+                    horizon=int(rng.integers(2, 40)),
+                    load_noise_sigma=float(rng.choice([0.0, 0.02, 0.3, 5.0])),
+                    stress_mode=bool(rng.random() < 0.5),
+                    stress_outage_step=int(rng.integers(0, 4)),
+                    redispatch_enabled=bool(rng.random() < 0.3),
+                )
+                status = rng.random(spec.n_lines) < 0.85
+                setpoints = np.clip(
+                    env.base_dispatch(spec) * rng.uniform(0.6, 1.8, spec.n_gens), c.p_min, c.p_max
+                )
+                solution = env.solve_state(spec, setpoints, c.base_demand, status)
+                draw = int(rng.integers(1 << 30))
+                state = dataclasses.replace(
+                    reset(spec, cfg, seed=0),
+                    t=int(rng.integers(0, 4)),
+                    line_status=status,
+                    cooldowns=np.where(status, 0, rng.integers(0, 4, spec.n_lines)),
+                    out_steps=np.where(status, 0, rng.integers(1, 9, spec.n_lines)),
+                    gen_setpoints=setpoints,
+                    overload_streak=np.where(
+                        solution.rho > 1.0, rng.integers(0, OVERLOAD_GRACE, spec.n_lines), 0
+                    ),
+                    last_solution=solution,
+                    rng=np.random.default_rng(draw),
+                )
+                actions = enumerate_actions(spec, cfg)
+                action = actions[int(rng.integers(len(actions)))]
+                want = reference_step(
+                    dataclasses.replace(state, rng=np.random.default_rng(draw)), action, spec, cfg
+                )
+                out = step(state, action, spec, cfg)
+                nxt = out.next_state
+                reward, rho, streak, out_steps, cooldowns, status, demands, failure = want
+                assert out.reward.hex() == float(reward).hex()
+                assert hexes(out.rho) == hexes(rho)
+                assert hexes(nxt.load_demands) == hexes(demands)
+                assert np.array_equal(nxt.overload_streak, streak)
+                assert np.array_equal(nxt.out_steps, out_steps)
+                assert np.array_equal(nxt.cooldowns, cooldowns)
+                assert np.array_equal(nxt.line_status, status)
+                assert out.failure is failure
+                assert out.terminated == (failure is not None)
+
+
 class TestReward:
     def test_margin_reward(self):
         cfg = EnvConfig()
-        assert compute_reward(np.array([0.85]), False, cfg) == pytest.approx(1.15)
+        assert compute_reward(0.85, False, cfg) == pytest.approx(1.15)
 
     def test_boundary(self):
         cfg = EnvConfig()
-        assert compute_reward(np.array([1.0]), False, cfg) == pytest.approx(1.0)
+        assert compute_reward(1.0, False, cfg) == pytest.approx(1.0)
 
     def test_collapse_penalty(self):
         cfg = EnvConfig(collapse_penalty=100.0)
-        assert compute_reward(np.array([1.3]), True, cfg) == pytest.approx(-99.3)
+        assert compute_reward(1.3, True, cfg) == pytest.approx(-99.3)
 
     def test_margin_clamped(self):
         cfg = EnvConfig()
-        assert compute_reward(np.array([3.5]), False, cfg) == pytest.approx(0.0)
+        assert compute_reward(3.5, False, cfg) == pytest.approx(0.0)
 
     def test_empty_rho_raises(self):
+        # no lines, no peak: the margin the reward clamps stays undefined
         with pytest.raises(ValueError):
-            compute_reward(np.array([]), False, EnvConfig())
+            safety_margin(np.array([]))
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=4.0), min_size=1, max_size=12),
@@ -306,10 +416,10 @@ class TestReward:
     def test_equals_np_clip_formulation_bit_for_bit(self, rho, collapse):
         cfg = EnvConfig()
         rho = np.array(rho)
-        want = env.SURVIVAL_BONUS + float(np.clip(1.0 - float(rho.max()), -1.0, 1.0))
+        want = env.SURVIVAL_BONUS + float(np.clip(safety_margin(rho), -1.0, 1.0))
         if collapse:
             want -= cfg.collapse_penalty
-        got = compute_reward(rho, collapse, cfg)
+        got = compute_reward(float(rho.max()), collapse, cfg)
         assert type(got) is float
         assert got.hex() == want.hex()
 

@@ -91,14 +91,14 @@ class TestPolicyGradientUpdate:
             )
             for _ in range(3)
         ]
-        new, diag = policy_gradient_update(params, trajs, cfg)
+        new, diag = policy_gradient_update(params, trajs, cfg, AdamOptimizer(cfg))
         for a, b in zip(params.layers(), new.layers()):
             assert np.array_equal(a, b)
         assert diag.grad_norm == 0.0
 
     def test_empty_batch_raises(self):
         with pytest.raises(ValueError):
-            policy_gradient_update(tiny_params(), [], TrainConfig())
+            policy_gradient_update(tiny_params(), [], TrainConfig(), AdamOptimizer(TrainConfig()))
 
     def test_single_step_matches_closed_form(self):
         # two-action policy, single-step trajectory: with identity-like
