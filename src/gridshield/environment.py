@@ -252,8 +252,8 @@ def step(state: EnvState, action: Action, spec: GridSpec, config: EnvConfig) -> 
     out_steps[status] = 0
     solution = solve_state(spec, setpoints, demands, status)
     rho = solution.rho
-    # one peak decides the reward and the overloads: at or below 1, which is
-    # almost every step, every streak restarts and nothing can collapse
+    # one peak decides the reward and the overloads: at or below 1 (almost
+    # every step; a NaN peak is not) every streak restarts, nothing collapses
     peak = float(rho.max())
     overloaded = not peak <= 1.0
     streak = np.zeros(rho.size, dtype=np.intp)
