@@ -252,13 +252,14 @@ def step(state: EnvState, action: Action, spec: GridSpec, config: EnvConfig) -> 
     out_steps[status] = 0
     solution = solve_state(spec, setpoints, demands, status)
     rho = solution.rho
-    # one peak decides the reward and the overloads: at or below 1 (almost
-    # every step; a NaN peak is not) every streak restarts, nothing collapses
+    # one peak decides the reward and the overloads: at or below 1 (a NaN
+    # peak is not) every streak restarts and nothing collapses
     peak = float(rho.max())
     overloaded = not peak <= 1.0
-    streak = np.zeros(rho.size, dtype=np.intp)
     if overloaded:
         streak = np.where(rho > 1.0, state.overload_streak + 1, 0)
+    else:
+        streak = np.zeros(rho.size, dtype=np.intp)
 
     next_state = EnvState(
         t=state.t + 1,

@@ -266,14 +266,15 @@ def connected_components(spec: GridSpec, line_status: np.ndarray) -> list[list[i
 class _Topology:
     """What a line status fixes for every solve on it: the slack island's
     buses, whether it holds every load and generator, its in-service lines,
-    whether those are all buses and all lines (`whole`: a solve then zeroes
-    nothing), its buses but the slack (`red`) and the LU factors of the
-    susceptance Laplacian over `red` (empty when `red` is)."""
+    the buses off the island and the lines out of service or off it (the
+    indices a solve zeroes), its buses but the slack (`red`) and the LU
+    factors of the susceptance Laplacian over `red` (empty when `red` is)."""
 
     in_island: np.ndarray
     feasible: bool
     active: np.ndarray
-    whole: bool
+    off_buses: np.ndarray
+    off_lines: np.ndarray
     red: np.ndarray
     lu: np.ndarray
     piv: np.ndarray
@@ -308,10 +309,10 @@ def _topology(spec: GridSpec, status: bytes) -> _Topology:
             raise SingularSystemError("reduced susceptance matrix is singular")
     else:
         lu, piv = np.empty((0, 0)), np.empty(0, dtype=np.int32)
-    for arr in (in_island, active, red, lu, piv):
+    off_buses, off_lines = np.flatnonzero(~in_island), np.flatnonzero(~active)
+    for arr in (in_island, active, off_buses, off_lines, red, lu, piv):
         arr.setflags(write=False)
-    whole = bool(in_island.all() and active.all())
-    return _Topology(in_island, feasible, active, whole, red, lu, piv)
+    return _Topology(in_island, feasible, active, off_buses, off_lines, red, lu, piv)
 
 
 def _solve_reduced(topo: _Topology, rhs: np.ndarray) -> np.ndarray:
@@ -345,8 +346,7 @@ def solve_dc_power_flow(
     c = compiled(spec)
     topo = _topology(spec, np.asarray(line_status, dtype=bool).tobytes())
     balanced = np.array(injections, dtype=float)
-    if not topo.whole:
-        balanced[~topo.in_island] = 0.0
+    balanced[topo.off_buses] = 0.0
     balanced[c.slack_idx] = 0.0
     balanced[c.slack_idx] = -balanced.sum()
 
@@ -355,8 +355,7 @@ def solve_dc_power_flow(
         angles[topo.red] = _solve_reduced(topo, balanced[topo.red])
 
     flows = c.susceptance * (angles[c.from_idx] - angles[c.to_idx])
-    if not topo.whole:
-        flows[~topo.active] = 0.0
+    flows[topo.off_lines] = 0.0
     rho = np.abs(flows) / c.limits
     return PowerFlowSolution(
         angles=angles, flows=flows, rho=rho, feasible=topo.feasible, injections=balanced

@@ -325,7 +325,8 @@ def reference_step(state, action, spec, config):
     reward = env.SURVIVAL_BONUS + min(max(safety_margin(rho), -1.0), 1.0)
     if failure in (FailureMode.THERMAL_COLLAPSE, FailureMode.INFEASIBLE_TOPOLOGY):
         reward -= config.collapse_penalty
-    return reward, rho, streak, out_steps, cooldowns, status, demands, failure
+    solved = (balanced, angles, flows)
+    return reward, rho, streak, out_steps, cooldowns, status, demands, failure, solved
 
 
 def hexes(a):
@@ -375,9 +376,13 @@ class TestStepBitIdentity:
                 )
                 out = step(state, action, spec, cfg)
                 nxt = out.next_state
-                reward, rho, streak, out_steps, cooldowns, status, demands, failure = want
+                reward, rho, streak, out_steps, cooldowns, status, demands, failure, solved = want
                 assert out.reward.hex() == float(reward).hex()
                 assert hexes(out.rho) == hexes(rho)
+                sol = nxt.last_solution
+                assert [hexes(a) for a in (sol.injections, sol.angles, sol.flows)] == [
+                    hexes(a) for a in solved
+                ]
                 assert hexes(nxt.load_demands) == hexes(demands)
                 assert np.array_equal(nxt.overload_streak, streak)
                 assert np.array_equal(nxt.out_steps, out_steps)
@@ -405,9 +410,18 @@ class TestReward:
         assert compute_reward(3.5, False, cfg) == pytest.approx(0.0)
 
     def test_empty_rho_raises(self):
-        # no lines, no peak: the margin the reward clamps stays undefined
+        # no lines, no peak: a step's reward stays undefined
+        spec = GridSpec(
+            buses=(0,),
+            lines=(),
+            generators=(GenSpec(0, 0, 0.0, 2.0, 0.5),),
+            loads=(LoadSpec(0, 0, 1.0),),
+            slack_bus=0,
+        )
+        cfg = EnvConfig()
+        state = env.reset(spec, cfg, seed=0)
         with pytest.raises(ValueError):
-            safety_margin(np.array([]))
+            env.step(state, NOOP, spec, cfg)
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=4.0), min_size=1, max_size=12),
