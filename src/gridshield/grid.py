@@ -266,15 +266,12 @@ def connected_components(spec: GridSpec, line_status: np.ndarray) -> list[list[i
 class _Topology:
     """What a line status fixes for every solve on it: the slack island's
     buses, whether it holds every load and generator, its in-service lines,
-    the buses off the island and the lines out of service or off it (the
-    indices a solve zeroes), its buses but the slack (`red`) and the LU
-    factors of the susceptance Laplacian over `red` (empty when `red` is)."""
+    its buses but the slack (`red`) and the LU factors of the susceptance
+    Laplacian over `red` (empty when `red` is)."""
 
     in_island: np.ndarray
     feasible: bool
     active: np.ndarray
-    off_buses: np.ndarray
-    off_lines: np.ndarray
     red: np.ndarray
     lu: np.ndarray
     piv: np.ndarray
@@ -309,10 +306,9 @@ def _topology(spec: GridSpec, status: bytes) -> _Topology:
             raise SingularSystemError("reduced susceptance matrix is singular")
     else:
         lu, piv = np.empty((0, 0)), np.empty(0, dtype=np.int32)
-    off_buses, off_lines = np.flatnonzero(~in_island), np.flatnonzero(~active)
-    for arr in (in_island, active, off_buses, off_lines, red, lu, piv):
+    for arr in (in_island, active, red, lu, piv):
         arr.setflags(write=False)
-    return _Topology(in_island, feasible, active, off_buses, off_lines, red, lu, piv)
+    return _Topology(in_island, feasible, active, red, lu, piv)
 
 
 def _solve_reduced(topo: _Topology, rhs: np.ndarray) -> np.ndarray:
@@ -345,8 +341,7 @@ def solve_dc_power_flow(
     """
     c = compiled(spec)
     topo = _topology(spec, np.asarray(line_status, dtype=bool).tobytes())
-    balanced = np.array(injections, dtype=float)
-    balanced[topo.off_buses] = 0.0
+    balanced = np.where(topo.in_island, np.asarray(injections, dtype=float), 0.0)
     balanced[c.slack_idx] = 0.0
     balanced[c.slack_idx] = -balanced.sum()
 
@@ -354,8 +349,9 @@ def solve_dc_power_flow(
     if topo.red.size:
         angles[topo.red] = _solve_reduced(topo, balanced[topo.red])
 
-    flows = c.susceptance * (angles[c.from_idx] - angles[c.to_idx])
-    flows[topo.off_lines] = 0.0
+    flows = np.where(
+        topo.active, c.susceptance * (angles[c.from_idx] - angles[c.to_idx]), 0.0
+    )
     rho = np.abs(flows) / c.limits
     return PowerFlowSolution(
         angles=angles, flows=flows, rho=rho, feasible=topo.feasible, injections=balanced
